@@ -125,7 +125,7 @@ func execute(session *core.Session, line string, out *os.File) error {
 		fmt.Fprint(out, session.Gauge().Render())
 		return nil
 	case "log":
-		// One step per line: the exact wire format POST /sessions/{id}/steps
+		// One step per line: the exact wire format POST /v1/sessions/{id}/steps
 		// accepts, so a session transcript can be replayed against awared.
 		for _, entry := range session.Log() {
 			line, err := core.MarshalStep(entry.Step)

@@ -17,11 +17,11 @@
 //
 // A minimal exploration from the command line:
 //
-//	curl -s -X POST localhost:8080/sessions -d '{"dataset": "census"}'
-//	curl -s -X POST localhost:8080/sessions/1/visualizations \
-//	    -d '{"target": "gender", "predicate": {"type": "equals", "column": "salary_over_50k", "value": "true"}}'
-//	curl -s localhost:8080/sessions/1/gauge
-//	curl -s localhost:8080/sessions/1/report
+//	curl -s -X POST localhost:8080/v1/sessions -d '{"dataset": "census"}'
+//	curl -s -X POST localhost:8080/v1/sessions/1/steps \
+//	    -d '{"op": "add_visualization", "target": "gender", "predicate": {"type": "equals", "column": "salary_over_50k", "value": "true"}}'
+//	curl -s localhost:8080/v1/sessions/1/gauge
+//	curl -s localhost:8080/v1/sessions/1/report
 //
 // Observability: GET /metrics serves the Prometheus text exposition,
 // GET /debug/trace the captured request span trees; -slow-op logs requests

@@ -103,11 +103,11 @@ func TestRunInProcessSmoke(t *testing.T) {
 // own structural validation.
 func TestRunOpenLoopSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_http.json")
-	// Pre-seed the document with a legacy flat closed-loop report: the
-	// open-loop run must wrap and preserve it.
-	legacy := []byte(`{"scenario":"mixed","dataset":"census","sessions":2,"duration_seconds":1,` +
-		`"sessions_completed":4,"total_requests":40,"total_errors":0,"requests_per_second":40,"endpoints":[]}`)
-	if err := os.WriteFile(out, legacy, 0o644); err != nil {
+	// Pre-seed the document with a closed-loop report: the open-loop run must
+	// preserve it.
+	seed := []byte(`{"closed_loop": {"scenario":"mixed","dataset":"census","sessions":2,"duration_seconds":1,` +
+		`"sessions_completed":4,"total_requests":40,"total_errors":0,"requests_per_second":40,"endpoints":[]}}`)
+	if err := os.WriteFile(out, seed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err := run(options{

@@ -27,6 +27,7 @@ import (
 	"aware/internal/api"
 	"aware/internal/census"
 	"aware/internal/client"
+	"aware/internal/core"
 	"aware/internal/server"
 )
 
@@ -137,9 +138,10 @@ func explore(ctx context.Context, c *client.Client, a analyst) (string, error) {
 		return "", fmt.Errorf("applying add_visualization step: %w", err)
 	}
 
-	// 3. Star the discovery, if there was one.
+	// 3. Star the discovery, if there was one: a typed step on the same
+	// endpoint.
 	if viz.Hypothesis != nil && viz.Hypothesis.Rejected {
-		if _, err := c.Star(ctx, session.ID, viz.Hypothesis.ID, true); err != nil {
+		if _, err := c.ApplyStep(ctx, session.ID, core.Star{Hypothesis: viz.Hypothesis.ID, Starred: true}); err != nil {
 			return "", fmt.Errorf("starring: %w", err)
 		}
 	}

@@ -16,10 +16,9 @@ import (
 )
 
 // Prefix is the versioned route prefix. Every session and dataset endpoint is
-// canonically served under it; the unprefixed legacy paths remain as thin
-// aliases for one release. Infrastructure endpoints (/healthz, /metrics,
-// /debug/*) are deliberately unversioned: they address the process, not the
-// API.
+// served under it and nowhere else: an unprefixed path answers 404 not_found.
+// Infrastructure endpoints (/healthz, /metrics, /debug/*) are deliberately
+// unversioned: they address the process, not the API.
 const Prefix = "/v1"
 
 // NodeHeader is the response header carrying the serving node's name on every
@@ -169,8 +168,10 @@ type LogResponse struct {
 	Steps []core.AppliedStep `json:"steps"`
 }
 
-// CreateVisualizationRequest is the POST /v1/sessions/{id}/visualizations
-// body.
+// CreateVisualizationRequest is the body of the former per-kind
+// POST /v1/sessions/{id}/visualizations route, which the add_visualization
+// step replaced. It stays because the benchmark (perfbench) decodes
+// recorded exchanges with it.
 type CreateVisualizationRequest struct {
 	// Target is the visualized attribute.
 	Target string `json:"target"`
@@ -180,7 +181,9 @@ type CreateVisualizationRequest struct {
 	Predicate json.RawMessage `json:"predicate,omitempty"`
 }
 
-// CreateVisualizationResponse is its response document.
+// CreateVisualizationResponse is the response of the former visualizations
+// route. It stays because the benchmark (perfbench) decodes recorded
+// exchanges with it.
 type CreateVisualizationResponse struct {
 	Visualization Visualization `json:"visualization"`
 	// Hypothesis is the auto-created rule-2 hypothesis, or null for an
@@ -189,7 +192,10 @@ type CreateVisualizationResponse struct {
 	RemainingWealth float64           `json:"remaining_wealth"`
 }
 
-// CompareRequest is the POST /v1/sessions/{id}/compare body.
+// CompareRequest is the body of the former per-kind
+// POST /v1/sessions/{id}/compare route, which the compare_* steps replaced. It
+// stays because the benchmark (perfbench) decodes recorded exchanges
+// with it.
 type CompareRequest struct {
 	// A and B are the visualization IDs to compare (rule 3).
 	A int `json:"a"`
@@ -200,52 +206,12 @@ type CompareRequest struct {
 	DistributionsOf string `json:"distributions_of,omitempty"`
 }
 
-// HypothesisResponse wraps one tracked hypothesis plus the session's wealth.
+// HypothesisResponse is the response of the former compare route: one
+// tracked hypothesis plus the session's wealth. It stays because the
+// benchmark driver (perfbench) decodes recorded exchanges with it.
 type HypothesisResponse struct {
 	Hypothesis      core.ReportEntry `json:"hypothesis"`
 	RemainingWealth float64          `json:"remaining_wealth"`
-}
-
-// DeriveRequest is the POST /v1/sessions/{id}/derive body.
-type DeriveRequest struct {
-	// Name is the new column's name.
-	Name string `json:"name"`
-	// Expression is the computed column in the dataset expression JSON format,
-	// e.g. {"expr": "bucket", "arg": {"expr": "column", "column": "age"}, "width": 10}.
-	Expression json.RawMessage `json:"expression"`
-}
-
-// JoinRequest is the POST /v1/sessions/{id}/join body.
-type JoinRequest struct {
-	// Dataset is the registered dataset to join with (the right side).
-	Dataset string `json:"dataset"`
-	// LeftKey and RightKey are the equi-join key columns on the session table
-	// and the joined dataset respectively.
-	LeftKey  string `json:"left_key"`
-	RightKey string `json:"right_key"`
-	// Prefix renames the joined dataset's columns (prefix+name) in the result.
-	Prefix string `json:"prefix,omitempty"`
-}
-
-// GroupByRequest is the POST /v1/sessions/{id}/groupby body.
-type GroupByRequest struct {
-	// Row and Col are the two attributes whose contingency table is tested.
-	Row string `json:"row"`
-	Col string `json:"col"`
-	// Predicate optionally restricts the tested rows (dataset predicate JSON;
-	// absent or null means the whole table).
-	Predicate json.RawMessage `json:"predicate,omitempty"`
-}
-
-// StarRequest is the POST /v1/sessions/{id}/hypotheses/{hid}/star body.
-type StarRequest struct {
-	Starred bool `json:"starred"`
-}
-
-// StarResponse echoes the starred state back.
-type StarResponse struct {
-	ID      int  `json:"id"`
-	Starred bool `json:"starred"`
 }
 
 // Gauge is the wire form of the risk gauge (Figure 2 A).

@@ -247,7 +247,8 @@ func (c *Client) RestoreSession(ctx context.Context, id int64, req api.RestoreSe
 
 // --- the interactive loop ---
 
-// ApplyStep applies one typed step via the generic command endpoint.
+// ApplyStep applies one typed step, e.g. core.AddVisualization{…}: every
+// change to a session's exploration goes through POST /v1/sessions/{id}/steps.
 func (c *Client) ApplyStep(ctx context.Context, id int64, step core.Step) (api.StepResponse, error) {
 	raw, err := core.MarshalStep(step)
 	if err != nil {
@@ -267,50 +268,6 @@ func (c *Client) ApplyRawStep(ctx context.Context, id int64, step json.RawMessag
 func (c *Client) Log(ctx context.Context, id int64) (api.LogResponse, error) {
 	var out api.LogResponse
 	err := c.do(ctx, http.MethodGet, "GET /v1/sessions/{id}/log", sessionPath(id, "/log"), nil, &out)
-	return out, err
-}
-
-// CreateVisualization adds a visualization (and, when filtered, its rule-2
-// hypothesis).
-func (c *Client) CreateVisualization(ctx context.Context, id int64, req api.CreateVisualizationRequest) (api.CreateVisualizationResponse, error) {
-	var out api.CreateVisualizationResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/visualizations", sessionPath(id, "/visualizations"), req, &out)
-	return out, err
-}
-
-// Compare tests two visualizations against each other (rule 3).
-func (c *Client) Compare(ctx context.Context, id int64, req api.CompareRequest) (api.HypothesisResponse, error) {
-	var out api.HypothesisResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/compare", sessionPath(id, "/compare"), req, &out)
-	return out, err
-}
-
-// Derive extends the session's table with a computed column.
-func (c *Client) Derive(ctx context.Context, id int64, req api.DeriveRequest) (api.StepResponse, error) {
-	var out api.StepResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/derive", sessionPath(id, "/derive"), req, &out)
-	return out, err
-}
-
-// Join equi-joins the session's table with a registered dataset.
-func (c *Client) Join(ctx context.Context, id int64, req api.JoinRequest) (api.StepResponse, error) {
-	var out api.StepResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/join", sessionPath(id, "/join"), req, &out)
-	return out, err
-}
-
-// GroupBy tests the independence of two attributes.
-func (c *Client) GroupBy(ctx context.Context, id int64, req api.GroupByRequest) (api.HypothesisResponse, error) {
-	var out api.HypothesisResponse
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/groupby", sessionPath(id, "/groupby"), req, &out)
-	return out, err
-}
-
-// Star marks or unmarks a hypothesis as a finding.
-func (c *Client) Star(ctx context.Context, id int64, hypothesis int, starred bool) (api.StarResponse, error) {
-	var out api.StarResponse
-	path := sessionPath(id, "/hypotheses/"+strconv.Itoa(hypothesis)+"/star")
-	err := c.do(ctx, http.MethodPost, "POST /v1/sessions/{id}/hypotheses/{hid}/star", path, api.StarRequest{Starred: starred}, &out)
 	return out, err
 }
 

@@ -129,30 +129,21 @@ func NewRouter(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// routes builds the router's mux: versioned and legacy aliases for the API
-// surface, aggregate infra endpoints, and a catch-all per-session proxy that
-// stays transparent to endpoints added after the router was written.
+// routes builds the router's mux: the v1 API surface, aggregate infra
+// endpoints, and a catch-all per-session proxy that stays transparent to
+// endpoints added after the router was written. Unmatched paths and methods
+// get the same JSON error envelope a node sends.
 func (rt *Router) routes() http.Handler {
 	mux := http.NewServeMux()
-	both := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("cluster: route pattern without a method: " + pattern)
-		}
-		mux.HandleFunc(method+" "+api.Prefix+path, h)
-		mux.HandleFunc(pattern, h)
-	}
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	both("POST /sessions", rt.handleCreateSession)
-	both("GET /sessions", rt.handleListSessions)
-	both("GET /datasets", rt.handleAnyNode)
-	both("POST /datasets", rt.handleBroadcast)
-	for _, path := range []string{"/sessions/{id}", "/sessions/{id}/{rest...}"} {
-		mux.HandleFunc(api.Prefix+path, rt.handleSessionScoped)
-		mux.HandleFunc(path, rt.handleSessionScoped)
-	}
-	return mux
+	mux.HandleFunc("POST "+api.Prefix+"/sessions", rt.handleCreateSession)
+	mux.HandleFunc("GET "+api.Prefix+"/sessions", rt.handleListSessions)
+	mux.HandleFunc("GET "+api.Prefix+"/datasets", rt.handleAnyNode)
+	mux.HandleFunc("POST "+api.Prefix+"/datasets", rt.handleBroadcast)
+	mux.HandleFunc(api.Prefix+"/sessions/{id}", rt.handleSessionScoped)
+	mux.HandleFunc(api.Prefix+"/sessions/{id}/{rest...}", rt.handleSessionScoped)
+	return server.JSONErrors(mux)
 }
 
 // Handler returns the router's HTTP handler.
@@ -259,7 +250,7 @@ func (rt *Router) declareDead(m *member, cause error) {
 }
 
 // failoverNode restores the dead node's journaled sessions onto their ring
-// successors by replaying each journal through POST /sessions/{id}/restore.
+// successors by replaying each journal through POST /v1/sessions/{id}/restore.
 // A session_exists answer means another actor (a concurrent router, an
 // operator) already restored it — success, not conflict. Restored journals
 // are removed so a later failover of the successor does not resurrect stale
@@ -387,11 +378,11 @@ func (rt *Router) proxyTo(m *member, w http.ResponseWriter, r *http.Request, bod
 	return nil
 }
 
-// handleSessionScoped routes everything under /sessions/{id} to the session's
-// owner, walking the preference sequence when nodes die: a transport failure
-// declares the node dead, runs failover synchronously, and re-sends the same
-// buffered request to the successor — one retried request, invisible to the
-// client. The retry is at-least-once: a node that died after applying a
+// handleSessionScoped routes everything under /v1/sessions/{id} to the
+// session's owner, walking the preference sequence when nodes die: a transport
+// failure declares the node dead, runs failover synchronously, and re-sends
+// the same buffered request to the successor — one retried request, invisible
+// to the client. The retry is at-least-once: a node that died after applying a
 // mutating step but before answering will have the step re-applied on the
 // successor's replayed session.
 func (rt *Router) handleSessionScoped(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,8 @@ import (
 	"aware/internal/census"
 	"aware/internal/client"
 	"aware/internal/cluster"
+	"aware/internal/core"
+	"aware/internal/dataset"
 	"aware/internal/obs"
 	"aware/internal/server"
 )
@@ -232,7 +234,7 @@ func TestRouterFailoverReplaysJournals(t *testing.T) {
 	// Spread sessions over both nodes and give each a real exploration:
 	// a filtered visualization (spends α-wealth on the rule-2 hypothesis),
 	// a descriptive one, and a comparison between them.
-	pred := json.RawMessage(`{"type": "equals", "column": "salary_over_50k", "value": "true"}`)
+	pred := dataset.Equals{Column: "salary_over_50k", Value: "true"}
 	var ids []int64
 	for i := 0; i < 10; i++ {
 		info, err := c.CreateSession(ctx, api.SessionSpec{Dataset: "census"})
@@ -240,13 +242,13 @@ func TestRouterFailoverReplaysJournals(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, info.ID)
-		if _, err := c.CreateVisualization(ctx, info.ID, api.CreateVisualizationRequest{Target: "gender", Predicate: pred}); err != nil {
+		if _, err := c.ApplyStep(ctx, info.ID, core.AddVisualization{Target: "gender", Filter: pred}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.CreateVisualization(ctx, info.ID, api.CreateVisualizationRequest{Target: "gender"}); err != nil {
+		if _, err := c.ApplyStep(ctx, info.ID, core.AddVisualization{Target: "gender"}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Compare(ctx, info.ID, api.CompareRequest{A: 1, B: 2}); err != nil {
+		if _, err := c.ApplyStep(ctx, info.ID, core.CompareVisualizations{A: 1, B: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +316,7 @@ func TestRouterFailoverReplaysJournals(t *testing.T) {
 		if owner[id] != nodes[0].Name {
 			continue
 		}
-		if _, err := c.GroupBy(ctx, id, api.GroupByRequest{Row: "gender", Col: "salary_over_50k"}); err != nil {
+		if _, err := c.ApplyStep(ctx, id, core.GroupByHypothesis{RowAttr: "gender", ColAttr: "salary_over_50k"}); err != nil {
 			t.Fatalf("step on restored session %d: %v", id, err)
 		}
 		break
@@ -348,5 +350,48 @@ func TestRouterPassesThroughErrorEnvelopes(t *testing.T) {
 	_, err = c.CreateSession(ctx, api.SessionSpec{Dataset: "nope"})
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeDatasetUnknown {
 		t.Fatalf("create with unknown dataset = %v, want dataset_unknown", err)
+	}
+}
+
+// TestRouterAnswersNotFoundOnRemovedRoutes checks the router serves the API
+// under api.Prefix only: the per-kind step endpoints (proxied, answered by
+// the owning node) and every unprefixed path (answered by the router itself)
+// come back as 404 not_found in the JSON envelope.
+func TestRouterAnswersNotFoundOnRemovedRoutes(t *testing.T) {
+	_, _, _, router := startCluster(t, 2)
+	if _, err := client.New(router.URL).CreateSession(context.Background(), api.SessionSpec{Dataset: "census"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/sessions/1/visualizations"},
+		{http.MethodPost, "/v1/sessions/1/compare"},
+		{http.MethodPost, "/v1/sessions/1/derive"},
+		{http.MethodPost, "/v1/sessions/1/join"},
+		{http.MethodPost, "/v1/sessions/1/groupby"},
+		{http.MethodPost, "/v1/sessions/1/hypotheses/1/star"},
+		{http.MethodGet, "/datasets"},
+		{http.MethodPost, "/datasets"},
+		{http.MethodPost, "/sessions"},
+		{http.MethodGet, "/sessions"},
+		{http.MethodGet, "/sessions/1"},
+		{http.MethodDelete, "/sessions/1"},
+		{http.MethodPost, "/sessions/1/steps"},
+		{http.MethodGet, "/sessions/1/gauge"},
+		{http.MethodPost, "/sessions/1/holdout/replay"},
+	} {
+		req, err := http.NewRequest(rt.method, router.URL+rt.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var body api.ErrorBody
+		if resp.StatusCode != http.StatusNotFound || json.Unmarshal(raw, &body) != nil || body.Code != api.CodeNotFound {
+			t.Errorf("%s %s: status %d body %s, want 404 with code %q", rt.method, rt.path, resp.StatusCode, raw, api.CodeNotFound)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Step JSON wire format. Every step kind maps to a tagged object so that
-// remote clients (cmd/awared's POST /sessions/{id}/steps endpoint), journal
+// remote clients (cmd/awared's POST /v1/sessions/{id}/steps endpoint), journal
 // files and recorded exploration logs share one lossless representation:
 //
 //	{"op": "add_visualization", "target": "gender", "predicate": {...}}

@@ -45,9 +45,8 @@ const (
 	// (rule-2 hypotheses) with periodic gauge reads — the drill-down loop of
 	// Figure 1.
 	ScenarioFilter Scenario = "filter"
-	// ScenarioViz is visualization-heavy: charts built through the legacy
-	// convenience endpoints, side-by-side comparisons (rule 3), gauge and
-	// report reads.
+	// ScenarioViz is visualization-heavy: complementary charts, side-by-side
+	// comparisons (rule 3), gauge and report reads.
 	ScenarioViz Scenario = "viz"
 	// ScenarioSteps is steps/replay-heavy: raw step commands, step-log reads
 	// and whole-log hold-out replays — the most server-CPU-intensive mix.
@@ -564,6 +563,17 @@ func (e *explorer) addViz(id int64, target string, pred json.RawMessage) error {
 	return e.c.record(err)
 }
 
+// compare posts one compare_visualizations step (rule 3) for visualizations a
+// and b, in the same raw wire form as addViz.
+func (e *explorer) compare(id int64, a, b int) error {
+	raw, err := json.Marshal(map[string]any{"op": "compare_visualizations", "a": a, "b": b})
+	if err != nil {
+		return err
+	}
+	_, err = e.c.api.ApplyRawStep(e.callCtx, id, raw)
+	return e.c.record(err)
+}
+
 // filterScript: 8 filtered visualizations with a gauge read every fourth — an
 // analyst drilling down and watching the risk gauge.
 func (e *explorer) filterScript(ctx context.Context, id int64) error {
@@ -587,8 +597,8 @@ func (e *explorer) filterScript(ctx context.Context, id int64) error {
 	return e.c.record(err)
 }
 
-// vizScript: charts through the visualization endpoint with rule-3
-// comparisons — two rounds of (filter chart, complement chart, compare).
+// vizScript: charts with rule-3 comparisons and a gauge read after each —
+// two rounds of (filter chart, complement chart, compare, gauge).
 func (e *explorer) vizScript(ctx context.Context, id int64) error {
 	vizCount := 0
 	for round := 0; round < 2; round++ {
@@ -597,18 +607,16 @@ func (e *explorer) vizScript(ctx context.Context, id int64) error {
 		}
 		item := e.pick(e.comp)
 		for _, pred := range []json.RawMessage{item.pred, item.predNot} {
-			_, err := e.c.api.CreateVisualization(e.callCtx, id, api.CreateVisualizationRequest{Target: item.target, Predicate: pred})
-			if err = e.c.record(err); err != nil {
+			if err := e.addViz(id, item.target, pred); err != nil {
 				return err
 			}
 			vizCount++
 			e.think(ctx)
 		}
-		_, err := e.c.api.Compare(e.callCtx, id, api.CompareRequest{A: vizCount - 1, B: vizCount})
-		if err = e.c.record(err); err != nil {
+		if err := e.compare(id, vizCount-1, vizCount); err != nil {
 			return err
 		}
-		_, err = e.c.api.Gauge(e.callCtx, id)
+		_, err := e.c.api.Gauge(e.callCtx, id)
 		if err = e.c.record(err); err != nil {
 			return err
 		}
@@ -635,12 +643,7 @@ func (e *explorer) stepsScript(ctx context.Context, id int64) error {
 			return err
 		}
 		vizCount += 2
-		raw, err := json.Marshal(map[string]any{"op": "compare_visualizations", "a": vizCount - 1, "b": vizCount})
-		if err != nil {
-			return err
-		}
-		_, err = e.c.api.ApplyRawStep(e.callCtx, id, raw)
-		if err = e.c.record(err); err != nil {
+		if err := e.compare(id, vizCount-1, vizCount); err != nil {
 			return err
 		}
 		e.think(ctx)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -159,5 +161,31 @@ func TestParseScenario(t *testing.T) {
 	}
 	if _, err := loadgen.ParseScenario("bogus"); err == nil {
 		t.Error("want error for unknown scenario")
+	}
+}
+
+// TestLoadDocumentIsStrict checks LoadDocument reads the two-section layout,
+// treats a missing file as empty, and rejects any other layout (a flat
+// closed-loop report included) instead of silently dropping its content.
+func TestLoadDocumentIsStrict(t *testing.T) {
+	dir := t.TempDir()
+	doc, err := loadgen.LoadDocument(filepath.Join(dir, "missing.json"))
+	if err != nil || doc.ClosedLoop != nil || doc.OpenLoop != nil {
+		t.Fatalf("missing file = %+v, %v; want an empty document", doc, err)
+	}
+	for name, body := range map[string]string{
+		"sections.json": `{"closed_loop": {"scenario": "mixed", "total_requests": 40}}`,
+		"flat.json":     `{"scenario": "mixed", "total_requests": 40}`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, err = loadgen.LoadDocument(filepath.Join(dir, "sections.json"))
+	if err != nil || doc.ClosedLoop == nil || doc.ClosedLoop.TotalRequests != 40 {
+		t.Fatalf("two-section document = %+v, %v", doc, err)
+	}
+	if _, err := loadgen.LoadDocument(filepath.Join(dir, "flat.json")); err == nil {
+		t.Error("a flat report loaded without error; want a strict-decoding failure")
 	}
 }

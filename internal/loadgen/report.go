@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -149,10 +150,8 @@ type Document struct {
 }
 
 // LoadDocument reads a BENCH_http.json into the two-section layout. A
-// missing file yields an empty document (first run); a legacy flat Result —
-// the pre-knee-curve format, recognized by its top-level "scenario" key —
-// is wrapped as the closed-loop section so committed history survives the
-// schema change.
+// missing file yields an empty document (first run). Decoding is strict, so a
+// file in any other layout fails loudly instead of being silently rewritten.
 func LoadDocument(path string) (*Document, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -161,19 +160,10 @@ func LoadDocument(path string) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("loadgen: %s is not a JSON object: %w", path, err)
-	}
-	if _, legacy := probe["scenario"]; legacy {
-		var res Result
-		if err := json.Unmarshal(data, &res); err != nil {
-			return nil, fmt.Errorf("loadgen: parsing legacy %s: %w", path, err)
-		}
-		return &Document{ClosedLoop: &res}, nil
-	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var doc Document
-	if err := json.Unmarshal(data, &doc); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("loadgen: parsing %s: %w", path, err)
 	}
 	return &doc, nil

@@ -118,7 +118,7 @@ func TestDatasetListingStorageInfo(t *testing.T) {
 	var listing struct {
 		Datasets []DatasetInfo `json:"datasets"`
 	}
-	resp := doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, &listing)
+	resp := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &listing)
 	wantStatus(t, resp, http.StatusOK)
 	if len(listing.Datasets) != 2 {
 		t.Fatalf("got %d datasets, want 2", len(listing.Datasets))

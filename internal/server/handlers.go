@@ -28,12 +28,10 @@ const maxUploadBytes = 32 << 20
 // keyed by the registration pattern, so GET /debug/metrics reports exactly
 // the routes listed here.
 //
-// API endpoints are registered twice: canonically under the versioned
-// api.Prefix and as an unprefixed legacy alias, kept for one release so
-// pre-v1 clients keep working. Each registration is instrumented under its
-// own pattern, so the metrics tell v1 and legacy traffic apart.
-// Infrastructure endpoints (/healthz, /metrics, /debug/*) address the
-// process, not the API, and stay unversioned.
+// API endpoints are registered once, under the versioned api.Prefix, and
+// every change to a session's exploration arrives as one step on
+// POST /v1/sessions/{id}/steps. Infrastructure endpoints (/healthz, /metrics,
+// /debug/*) address the process, not the API, and stay unversioned.
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	infra := func(pattern string, h http.HandlerFunc) {
@@ -44,9 +42,7 @@ func (s *Server) routes() *http.ServeMux {
 		if !ok {
 			panic("server: route pattern without a method: " + pattern)
 		}
-		v1 := method + " " + api.Prefix + path
-		mux.HandleFunc(v1, s.instrument(v1, h))
-		mux.HandleFunc(pattern, s.instrument(pattern, h))
+		infra(method+" "+api.Prefix+path, h)
 	}
 	infra("GET /healthz", s.handleHealth)
 	infra("GET /metrics", s.handlePromMetrics)
@@ -70,12 +66,6 @@ func (s *Server) routes() *http.ServeMux {
 	handle("POST /sessions/{id}/restore", s.handleRestoreSession)
 	handle("POST /sessions/{id}/steps", s.handleApplyStep)
 	handle("GET /sessions/{id}/log", s.handleLog)
-	handle("POST /sessions/{id}/visualizations", s.handleCreateVisualization)
-	handle("POST /sessions/{id}/compare", s.handleCompare)
-	handle("POST /sessions/{id}/derive", s.handleDerive)
-	handle("POST /sessions/{id}/join", s.handleJoin)
-	handle("POST /sessions/{id}/groupby", s.handleGroupBy)
-	handle("POST /sessions/{id}/hypotheses/{hid}/star", s.handleStar)
 	handle("GET /sessions/{id}/gauge", s.handleGauge)
 	handle("POST /sessions/{id}/holdout/validate", s.handleHoldoutValidate)
 	handle("POST /sessions/{id}/holdout/replay", s.handleHoldoutReplay)
@@ -168,14 +158,6 @@ type (
 	testResultJSON           = api.TestResult
 	vizJSON                  = api.Visualization
 	stepResponse             = api.StepResponse
-	createVizRequest         = api.CreateVisualizationRequest
-	createVizResponse        = api.CreateVisualizationResponse
-	compareRequest           = api.CompareRequest
-	hypothesisResponse       = api.HypothesisResponse
-	deriveRequest            = api.DeriveRequest
-	joinRequest              = api.JoinRequest
-	groupByRequest           = api.GroupByRequest
-	starRequest              = api.StarRequest
 	gaugeResponse            = api.Gauge
 	holdoutRequest           = api.HoldoutValidateRequest
 	holdoutResponse          = api.HoldoutValidateResponse
@@ -342,25 +324,17 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 
 // --- the interactive loop ---
 //
-// Every mutation — whether it arrives as a raw step on POST /steps or through
-// one of the legacy convenience endpoints, which are now thin constructors
-// for the equivalent core.Step — funnels through applyStep: one code path
-// that applies the command under the session lock, journals it for restart
-// durability, and snapshots the outcome before the lock is released.
-
-// appliedStepView is the lock-free snapshot of a StepResult.
-type appliedStepView struct {
-	seq    int
-	viz    *vizJSON
-	hyp    *core.ReportEntry
-	wealth float64
-}
+// Every mutation arrives as one step on POST /v1/sessions/{id}/steps and
+// funnels through applyStep: one code path that applies the command under the
+// session lock, journals it for restart durability, and snapshots the outcome
+// before the lock is released.
 
 // applyStep applies one step to the identified session, journals it, and
-// snapshots the result. A traced request's span rides in on ctx and collects
-// the step's span tree (kind, p-value path, kernels) under the session lock.
-func (s *Server) applyStep(ctx context.Context, id int64, step core.Step) (appliedStepView, error) {
-	var view appliedStepView
+// returns its wire response. A traced request's span rides in on ctx and
+// collects the step's span tree (kind, p-value path, kernels) under the
+// session lock.
+func (s *Server) applyStep(ctx context.Context, id int64, step core.Step) (stepResponse, error) {
+	resp := stepResponse{Op: step.Kind()}
 	span := obs.SpanFromContext(ctx)
 	err := s.manager.With(id, func(sess *core.Session) error {
 		stepStart := time.Now()
@@ -381,29 +355,19 @@ func (s *Server) applyStep(ctx context.Context, id int64, step core.Step) (appli
 				return fmt.Errorf("%w (step %q was applied but is not durable; do not retry)", err, step.Kind())
 			}
 		}
-		view.seq = res.Seq
+		resp.Seq = res.Seq
 		if res.Visualization != nil {
 			v := toVizJSON(res.Visualization)
-			view.viz = &v
+			resp.Visualization = &v
 		}
 		if res.Hypothesis != nil {
 			e := res.Hypothesis.Entry()
-			view.hyp = &e
+			resp.Hypothesis = &e
 		}
-		view.wealth = sess.Wealth()
+		resp.RemainingWealth = sess.Wealth()
 		return nil
 	})
-	return view, err
-}
-
-func (view appliedStepView) response(op string) stepResponse {
-	return stepResponse{
-		Seq:             view.seq,
-		Op:              op,
-		Visualization:   view.viz,
-		Hypothesis:      view.hyp,
-		RemainingWealth: view.wealth,
-	}
+	return resp, err
 }
 
 // handleApplyStep is the generic command endpoint: the body is one step in
@@ -419,7 +383,7 @@ func (s *Server) handleApplyStep(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 	if err != nil {
-		writeErr(w, fmt.Errorf("invalid request body: %w", err))
+		writeErr(w, fmt.Errorf("%w: %w", errInvalidBody, err))
 		return
 	}
 	step, err := core.UnmarshalStep(body)
@@ -429,12 +393,12 @@ func (s *Server) handleApplyStep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: %w", errInvalidBody, err))
 		return
 	}
-	view, err := s.applyStep(r.Context(), id, step)
+	resp, err := s.applyStep(r.Context(), id, step)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, view.response(step.Kind()))
+	writeJSON(w, http.StatusCreated, resp)
 }
 
 // handleLog returns the session's append-only step journal: the full
@@ -455,179 +419,6 @@ func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, api.LogResponse{Count: len(log), Steps: log})
-}
-
-func (s *Server) handleCreateVisualization(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req createVizRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	pred, err := decodePredicateField(req.Predicate)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	view, err := s.applyStep(r.Context(), id, core.AddVisualization{Target: req.Target, Filter: pred})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := createVizResponse{Hypothesis: view.hyp, RemainingWealth: view.wealth}
-	if view.viz != nil {
-		resp.Visualization = *view.viz
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req compareRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.MeansOf != "" && req.DistributionsOf != "" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "means_of and distributions_of are mutually exclusive")
-		return
-	}
-	var step core.Step
-	switch {
-	case req.MeansOf != "":
-		step = core.CompareMeans{Attribute: req.MeansOf, A: req.A, B: req.B}
-	case req.DistributionsOf != "":
-		step = core.CompareDistributions{Attribute: req.DistributionsOf, A: req.A, B: req.B}
-	default:
-		step = core.CompareVisualizations{A: req.A, B: req.B}
-	}
-	view, err := s.applyStep(r.Context(), id, step)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := hypothesisResponse{RemainingWealth: view.wealth}
-	if view.hyp != nil {
-		resp.Hypothesis = *view.hyp
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-// --- relational steps ---
-
-// handleDerive extends the session's table with a computed numeric column:
-// the derive_column step as a convenience endpoint.
-func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req deriveRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if len(req.Expression) == 0 || string(req.Expression) == "null" {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "derive requires an expression")
-		return
-	}
-	expr, err := dataset.UnmarshalExpr(req.Expression)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	step := core.DeriveColumn{Name: req.Name, Expr: expr}
-	view, err := s.applyStep(r.Context(), id, step)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, view.response(step.Kind()))
-}
-
-// handleJoin equi-joins the session's table with a registered dataset: the
-// join_dataset step as a convenience endpoint. The session continues over the
-// join result.
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req joinRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	step := core.JoinDataset{Dataset: req.Dataset, LeftKey: req.LeftKey, RightKey: req.RightKey, Prefix: req.Prefix}
-	view, err := s.applyStep(r.Context(), id, step)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, view.response(step.Kind()))
-}
-
-// handleGroupBy tests the independence of two attributes over the filtered
-// rows: the group_by step as a convenience endpoint.
-func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var req groupByRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	pred, err := decodePredicateField(req.Predicate)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	view, err := s.applyStep(r.Context(), id, core.GroupByHypothesis{RowAttr: req.Row, ColAttr: req.Col, Filter: pred})
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := hypothesisResponse{RemainingWealth: view.wealth}
-	if view.hyp != nil {
-		resp.Hypothesis = *view.hyp
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleStar(w http.ResponseWriter, r *http.Request) {
-	id, err := sessionID(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	hid, err := strconv.Atoi(r.PathValue("hid"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("invalid hypothesis id %q", r.PathValue("hid")))
-		return
-	}
-	var req starRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if _, err := s.applyStep(r.Context(), id, core.Star{Hypothesis: hid, Starred: req.Starred}); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.StarResponse{ID: hid, Starred: req.Starred})
 }
 
 func (s *Server) handleGauge(w http.ResponseWriter, r *http.Request) {

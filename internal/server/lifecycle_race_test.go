@@ -107,10 +107,10 @@ var errExpired = errors.New("session expired mid-lifecycle")
 // classifies a 404 on an existing flow as the sweeper winning the race.
 func lifecycle(base string, client int) error {
 	var info SessionInfo
-	if err := reqJSON(http.MethodPost, base+"/sessions", map[string]any{"dataset": "census"}, &info, http.StatusCreated); err != nil {
+	if err := reqJSON(http.MethodPost, base+"/v1/sessions", map[string]any{"dataset": "census"}, &info, http.StatusCreated); err != nil {
 		return err
 	}
-	path := fmt.Sprintf("%s/sessions/%d", base, info.ID)
+	path := fmt.Sprintf("%s/v1/sessions/%d", base, info.ID)
 	step := map[string]any{
 		"op":     "add_visualization",
 		"target": "gender",

@@ -48,7 +48,7 @@ func (e *endpointStats) record(status int, elapsed time.Duration) {
 
 // Metrics is the server's lightweight instrumentation: per-endpoint request,
 // error, in-flight and cumulative-latency counters, keyed by the route
-// pattern ("POST /sessions/{id}/steps"), plus counters for requests the
+// pattern ("POST /v1/sessions/{id}/steps"), plus counters for requests the
 // router rejected (404/405). The endpoint map is fully populated at route
 // registration and never mutated afterwards, so lookups are lock-free.
 //

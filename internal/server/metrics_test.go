@@ -15,11 +15,11 @@ func TestDebugMetricsCounters(t *testing.T) {
 
 	// Two routed successes on distinct endpoints.
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
 	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, nil), http.StatusOK)
 
 	// A routed 4xx: unknown session.
-	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/sessions/999999", nil, nil), http.StatusNotFound)
+	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/999999", nil, nil), http.StatusNotFound)
 
 	// Two unrouted requests: unknown path (404) and wrong method (405).
 	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/no/such/route", nil, nil), http.StatusNotFound)
@@ -33,7 +33,7 @@ func TestDebugMetricsCounters(t *testing.T) {
 			"type": "equals", "column": "salary_over_50k", "value": "true",
 		},
 	}
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions/1/steps", step, nil), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/1/steps", step, nil), http.StatusCreated)
 
 	var snap MetricsSnapshot
 	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/debug/metrics", nil, &snap), http.StatusOK)
@@ -53,10 +53,10 @@ func TestDebugMetricsCounters(t *testing.T) {
 		requests  int64
 		errors4xx int64
 	}{
-		{"POST /sessions", 1, 0},
+		{"POST /v1/sessions", 1, 0},
 		{"GET /healthz", 1, 0},
-		{"GET /sessions/{id}", 1, 1},
-		{"POST /sessions/{id}/steps", 1, 0},
+		{"GET /v1/sessions/{id}", 1, 1},
+		{"POST /v1/sessions/{id}/steps", 1, 0},
 	}
 	for _, c := range checks {
 		em, ok := snap.Endpoints[c.pattern]
@@ -80,7 +80,7 @@ func TestDebugMetricsCounters(t *testing.T) {
 
 	// Every registered route must appear even with zero traffic, so dashboards
 	// see the full endpoint list from the first scrape.
-	if _, ok := snap.Endpoints["POST /sessions/{id}/holdout/replay"]; !ok {
+	if _, ok := snap.Endpoints["POST /v1/sessions/{id}/holdout/replay"]; !ok {
 		t.Error("zero-traffic endpoint missing from snapshot")
 	}
 

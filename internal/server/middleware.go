@@ -139,6 +139,12 @@ func withJSONErrors(metrics *Metrics, next http.Handler) http.Handler {
 	})
 }
 
+// JSONErrors wraps a handler so every error response, including the mux's own
+// 404/405 fallbacks, carries the api.ErrorBody envelope. The cluster router
+// serves its mux behind it, so a path the API does not have answers the same
+// not_found document on a node and on the router.
+func JSONErrors(next http.Handler) http.Handler { return withJSONErrors(nil, next) }
+
 // withRecovery converts a handler panic into a 500 instead of killing the
 // whole process — one misbehaving session must not take down every other
 // user's exploration.

@@ -200,7 +200,7 @@ type traceResponse struct {
 // handleDebugTrace serves GET /debug/trace: the captured request span trees,
 // newest first. Query parameters: ?min_ms= keeps only requests at least that
 // slow, ?endpoint= keeps only the given route pattern (exact match on the
-// root span name, e.g. "POST /sessions/{id}/steps"), ?limit= bounds the
+// root span name, e.g. "POST /v1/sessions/{id}/steps"), ?limit= bounds the
 // result count (default: the whole ring).
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()

@@ -36,8 +36,8 @@ func createSession(t *testing.T, base string) string {
 	var info struct {
 		ID int64 `json:"id"`
 	}
-	doJSON(t, http.MethodPost, base+"/sessions", map[string]any{"dataset": "census"}, &info)
-	return fmt.Sprintf("/sessions/%d", info.ID)
+	doJSON(t, http.MethodPost, base+"/v1/sessions", map[string]any{"dataset": "census"}, &info)
+	return fmt.Sprintf("/v1/sessions/%d", info.ID)
 }
 
 // TestPromMetricsExposition drives real traffic, scrapes GET /metrics and
@@ -94,7 +94,7 @@ func TestPromMetricsExposition(t *testing.T) {
 		}
 	}
 	// The steps endpoint must have landed in the latency histogram.
-	if !strings.Contains(text, `aware_http_request_duration_seconds_bucket{endpoint="POST /sessions/{id}/steps",le="+Inf"}`) {
+	if !strings.Contains(text, `aware_http_request_duration_seconds_bucket{endpoint="POST /v1/sessions/{id}/steps",le="+Inf"}`) {
 		t.Error("steps endpoint missing from the latency histogram")
 	}
 }
@@ -113,12 +113,12 @@ func TestDebugTraceReachesKernelDepth(t *testing.T) {
 		Returned int            `json:"returned"`
 		Traces   []obs.SpanJSON `json:"traces"`
 	}
-	doJSON(t, http.MethodGet, ts.URL+"/debug/trace?endpoint=POST+/sessions/{id}/steps", nil, &resp)
+	doJSON(t, http.MethodGet, ts.URL+"/debug/trace?endpoint=POST+/v1/sessions/{id}/steps", nil, &resp)
 	if resp.Returned != 1 || len(resp.Traces) != 1 {
 		t.Fatalf("returned %d step traces, want 1 (captured %d)", resp.Returned, resp.Captured)
 	}
 	root := resp.Traces[0]
-	if root.Kind != obs.KindRequest || root.Name != "POST /sessions/{id}/steps" || root.DurationMs <= 0 {
+	if root.Kind != obs.KindRequest || root.Name != "POST /v1/sessions/{id}/steps" || root.DurationMs <= 0 {
 		t.Fatalf("root span = %+v", root)
 	}
 	if root.Attrs["status"] != float64(http.StatusCreated) {
@@ -257,7 +257,7 @@ func TestSlowOpLogging(t *testing.T) {
 		if json.Unmarshal([]byte(line), &entry) != nil || entry.Msg != "slow operation" {
 			continue
 		}
-		if entry.SlowOp.Kind == "request" && entry.SlowOp.Name == "POST /sessions/{id}/steps" {
+		if entry.SlowOp.Kind == "request" && entry.SlowOp.Name == "POST /v1/sessions/{id}/steps" {
 			found = true
 			if len(entry.SlowOp.Trace.Children) == 0 {
 				t.Errorf("slow-op line has no span tree: %s", line)
@@ -364,7 +364,7 @@ func TestConcurrentTracedSessions(t *testing.T) {
 		Returned int            `json:"returned"`
 		Traces   []obs.SpanJSON `json:"traces"`
 	}
-	doJSON(t, http.MethodGet, ts.URL+"/debug/trace?endpoint=POST+/sessions/{id}/steps", nil, &resp)
+	doJSON(t, http.MethodGet, ts.URL+"/debug/trace?endpoint=POST+/v1/sessions/{id}/steps", nil, &resp)
 	if want := analysts * stepsEach; resp.Returned != want {
 		t.Fatalf("returned %d step traces, want %d", resp.Returned, want)
 	}

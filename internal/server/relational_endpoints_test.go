@@ -6,14 +6,16 @@ import (
 	"net/http"
 	"testing"
 
+	"aware/internal/api"
 	"aware/internal/census"
 	"aware/internal/core"
 	"aware/internal/dataset"
 )
 
-// This file tests the relational endpoints: POST /sessions/{id}/derive,
-// /join and /groupby, their journaling, and their restoration across a
-// daemon restart (join replay needs the registry-backed catalog).
+// This file tests the relational steps — derive_column, join_dataset and
+// group_by on POST /v1/sessions/{id}/steps — their journaling, and their
+// restoration across a daemon restart (join replay needs the registry-backed
+// catalog).
 
 // registerOccupationDim registers a small dimension table keyed by the census
 // occupation names under "occupations".
@@ -39,8 +41,9 @@ func registerOccupationDim(t *testing.T, s *Server) {
 	}
 }
 
-// bucketHours is the derive request used throughout: annual hours, bucketed.
+// bucketHours is the derive step used throughout: annual hours, bucketed.
 var bucketHours = map[string]any{
+	"op":   "derive_column",
 	"name": "annual_hours_bucket",
 	"expression": map[string]any{
 		"expr":  "bucket",
@@ -60,8 +63,8 @@ func TestRelationalEndpoints(t *testing.T) {
 	registerOccupationDim(t, s)
 
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	type stepResp struct {
 		Seq        int               `json:"seq"`
@@ -69,14 +72,14 @@ func TestRelationalEndpoints(t *testing.T) {
 		Hypothesis *core.ReportEntry `json:"hypothesis"`
 	}
 	var derived stepResp
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/derive", bucketHours, &derived), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", bucketHours, &derived), http.StatusCreated)
 	if derived.Seq != 1 || derived.Op != "derive_column" {
 		t.Fatalf("derive response %+v", derived)
 	}
 
 	var joined stepResp
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/join", map[string]any{
-		"dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "join_dataset", "dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
 	}, &joined), http.StatusCreated)
 	if joined.Seq != 2 || joined.Op != "join_dataset" {
 		t.Fatalf("join response %+v", joined)
@@ -84,14 +87,11 @@ func TestRelationalEndpoints(t *testing.T) {
 
 	// The joined and derived columns are immediately explorable: a group-by
 	// over one column from each side.
-	var grouped struct {
-		Hypothesis      core.ReportEntry `json:"hypothesis"`
-		RemainingWealth float64          `json:"remaining_wealth"`
-	}
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/groupby", map[string]any{
-		"row": "dim_sector", "col": "annual_hours_bucket",
+	var grouped stepResponse
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "group_by", "row": "dim_sector", "col": "annual_hours_bucket",
 	}, &grouped), http.StatusCreated)
-	if grouped.Hypothesis.ID == 0 {
+	if grouped.Hypothesis == nil || grouped.Hypothesis.ID == 0 {
 		t.Fatalf("group-by recorded no hypothesis: %+v", grouped)
 	}
 	if grouped.RemainingWealth <= 0 {
@@ -99,7 +99,8 @@ func TestRelationalEndpoints(t *testing.T) {
 	}
 
 	// A plain visualization on a joined column still works.
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op":     "add_visualization",
 		"target": "dim_sector",
 		"predicate": map[string]any{
 			"type": "gt", "column": "dim_median_pay", "threshold": 40000,
@@ -123,35 +124,41 @@ func TestRelationalEndpoints(t *testing.T) {
 	}
 }
 
-// TestRelationalEndpointErrors pins the HTTP statuses of relational misuse.
+// TestRelationalEndpointErrors pins the HTTP statuses and error codes of
+// relational misuse.
 func TestRelationalEndpointErrors(t *testing.T) {
 	s, ts := newTestServer(t)
 	registerOccupationDim(t, s)
 
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
+	ageCol := map[string]any{"expr": "col", "column": "age"}
 	cases := []struct {
 		name string
-		path string
 		body map[string]any
 		want int
+		code api.ErrorCode
 	}{
-		{"derive without expression", "/derive", map[string]any{"name": "x"}, http.StatusBadRequest},
-		{"derive without name", "/derive", map[string]any{"expression": map[string]any{"expr": "col", "column": "age"}}, http.StatusBadRequest},
-		{"derive duplicate column", "/derive", map[string]any{"name": "age", "expression": map[string]any{"expr": "col", "column": "age"}}, http.StatusBadRequest},
-		{"derive categorical operand", "/derive", map[string]any{"name": "x", "expression": map[string]any{"expr": "col", "column": "gender"}}, http.StatusBadRequest},
-		{"join unknown dataset", "/join", map[string]any{"dataset": "nope", "left_key": "occupation", "right_key": "occupation"}, http.StatusNotFound},
-		{"join missing keys", "/join", map[string]any{"dataset": "occupations"}, http.StatusBadRequest},
-		{"join key type mismatch", "/join", map[string]any{"dataset": "occupations", "left_key": "age", "right_key": "occupation"}, http.StatusBadRequest},
-		{"groupby missing attributes", "/groupby", map[string]any{"row": "gender"}, http.StatusBadRequest},
-		{"groupby unknown column", "/groupby", map[string]any{"row": "gender", "col": "nope"}, http.StatusBadRequest},
-		{"groupby bad predicate", "/groupby", map[string]any{"row": "gender", "col": "education", "predicate": map[string]any{"type": "nope"}}, http.StatusBadRequest},
+		{"derive without expression", map[string]any{"op": "derive_column", "name": "x"}, http.StatusBadRequest, api.CodeStepInvalid},
+		{"derive without name", map[string]any{"op": "derive_column", "expression": ageCol}, http.StatusBadRequest, api.CodeStepInvalid},
+		{"derive duplicate column", map[string]any{"op": "derive_column", "name": "age", "expression": ageCol}, http.StatusBadRequest, api.CodeBadRequest},
+		{"derive categorical operand", map[string]any{"op": "derive_column", "name": "x", "expression": map[string]any{"expr": "col", "column": "gender"}}, http.StatusBadRequest, api.CodeBadRequest},
+		{"join unknown dataset", map[string]any{"op": "join_dataset", "dataset": "nope", "left_key": "occupation", "right_key": "occupation"}, http.StatusNotFound, api.CodeDatasetUnknown},
+		{"join missing keys", map[string]any{"op": "join_dataset", "dataset": "occupations"}, http.StatusBadRequest, api.CodeStepInvalid},
+		{"join key type mismatch", map[string]any{"op": "join_dataset", "dataset": "occupations", "left_key": "age", "right_key": "occupation"}, http.StatusBadRequest, api.CodeBadRequest},
+		{"groupby missing attributes", map[string]any{"op": "group_by", "row": "gender"}, http.StatusBadRequest, api.CodeStepInvalid},
+		{"groupby unknown column", map[string]any{"op": "group_by", "row": "gender", "col": "nope"}, http.StatusBadRequest, api.CodeBadRequest},
+		{"groupby bad predicate", map[string]any{"op": "group_by", "row": "gender", "col": "education", "predicate": map[string]any{"type": "nope"}}, http.StatusBadRequest, api.CodeStepInvalid},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wantStatus(t, doJSON(t, http.MethodPost, base+tc.path, tc.body, nil), tc.want)
+			resp := doJSON(t, http.MethodPost, base+"/steps", tc.body, nil)
+			wantStatus(t, resp, tc.want)
+			if envelope := decodeErrorBody(t, resp); envelope.Code != tc.code {
+				t.Errorf("code %q, want %q (message: %s)", envelope.Code, tc.code, envelope.Error)
+			}
 		})
 	}
 
@@ -164,8 +171,8 @@ func TestRelationalEndpointErrors(t *testing.T) {
 		t.Fatalf("journal has %d entries after only failed steps", log.Count)
 	}
 
-	// Relational endpoints on a missing session 404.
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions/999/derive", bucketHours, nil), http.StatusNotFound)
+	// Relational steps on a missing session 404.
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/999/steps", bucketHours, nil), http.StatusNotFound)
 }
 
 // TestRelationalJournalSurvivesRestart replays derive + join + group-by from
@@ -177,14 +184,14 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 	s1, ts1 := newJournaledServer(t, dir)
 	registerOccupationDim(t, s1)
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
-	base := fmt.Sprintf("%s/sessions/%d", ts1.URL, info.ID)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/derive", bucketHours, nil), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/join", map[string]any{
-		"dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
+	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts1.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", bucketHours, nil), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "join_dataset", "dataset": "occupations", "left_key": "occupation", "right_key": "occupation", "prefix": "dim_",
 	}, nil), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/groupby", map[string]any{
-		"row": "dim_sector", "col": "annual_hours_bucket",
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "group_by", "row": "dim_sector", "col": "annual_hours_bucket",
 	}, nil), http.StatusCreated)
 
 	gaugeBefore := doJSON(t, http.MethodGet, base+"/gauge", nil, nil)
@@ -200,7 +207,7 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 	if restored != 1 {
 		t.Fatalf("restored %d sessions, want 1", restored)
 	}
-	base2 := fmt.Sprintf("%s/sessions/%d", ts2.URL, info.ID)
+	base2 := fmt.Sprintf("%s/v1/sessions/%d", ts2.URL, info.ID)
 	gaugeAfter := doJSON(t, http.MethodGet, base2+"/gauge", nil, nil)
 	wantStatus(t, gaugeAfter, http.StatusOK)
 	after, _ := io.ReadAll(gaugeAfter.Body)
@@ -210,7 +217,7 @@ func TestRelationalJournalSurvivesRestart(t *testing.T) {
 
 	// The restored session's table kept the derived and joined columns: a
 	// group-by over them still works.
-	wantStatus(t, doJSON(t, http.MethodPost, base2+"/groupby", map[string]any{
-		"row": "dim_sector", "col": "gender",
+	wantStatus(t, doJSON(t, http.MethodPost, base2+"/steps", map[string]any{
+		"op": "group_by", "row": "dim_sector", "col": "gender",
 	}, nil), http.StatusCreated)
 }

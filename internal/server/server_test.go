@@ -110,17 +110,18 @@ func TestInteractiveLoopConcurrentClients(t *testing.T) {
 				create["policy"] = "gamma-fixed"
 			}
 			var info SessionInfo
-			resp := doJSON(t, http.MethodPost, ts.URL+"/sessions", create, &info)
+			resp := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", create, &info)
 			if resp.StatusCode != http.StatusCreated {
 				t.Errorf("client %d: create session status %d", c, resp.StatusCode)
 				return
 			}
 			ids[c] = info.ID
-			base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+			base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 			// A filtered visualization: rule 2 auto-creates a hypothesis.
-			var viz createVizResponse
-			resp = doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
+			var viz stepResponse
+			resp = doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+				"op":        "add_visualization",
 				"target":    "gender",
 				"predicate": json.RawMessage(highEarners),
 			}, &viz)
@@ -134,8 +135,8 @@ func TestInteractiveLoopConcurrentClients(t *testing.T) {
 			}
 
 			// An unfiltered visualization: rule 1, descriptive, no hypothesis.
-			var descriptive createVizResponse
-			doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{"target": "age"}, &descriptive)
+			var descriptive stepResponse
+			doJSON(t, http.MethodPost, base+"/steps", map[string]any{"op": "add_visualization", "target": "age"}, &descriptive)
 			if descriptive.Hypothesis != nil {
 				t.Errorf("client %d: descriptive visualization created hypothesis %d", c, descriptive.Hypothesis.ID)
 			}
@@ -212,17 +213,17 @@ func TestSessionLifecycleEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
 
 	var listing struct {
 		Sessions []SessionInfo `json:"sessions"`
 	}
-	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/sessions", nil, &listing), http.StatusOK)
+	wantStatus(t, doJSON(t, http.MethodGet, ts.URL+"/v1/sessions", nil, &listing), http.StatusOK)
 	if len(listing.Sessions) != 1 || listing.Sessions[0].ID != info.ID {
 		t.Errorf("session listing = %+v, want the created session", listing.Sessions)
 	}
 
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 	wantStatus(t, doJSON(t, http.MethodGet, base, nil, nil), http.StatusOK)
 	wantStatus(t, doJSON(t, http.MethodDelete, base, nil, nil), http.StatusNoContent)
 	wantStatus(t, doJSON(t, http.MethodGet, base, nil, nil), http.StatusNotFound)
@@ -233,22 +234,22 @@ func TestCompareAndStarEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	// Two complementary visualizations of the same target.
-	var a, b createVizResponse
-	doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
-		"target": "gender", "predicate": json.RawMessage(highEarners),
+	var a, b stepResponse
+	doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "add_visualization", "target": "gender", "predicate": json.RawMessage(highEarners),
 	}, &a)
-	doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
-		"target": "gender", "predicate": json.RawMessage(`{"type": "not", "term": ` + highEarners + `}`),
+	doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "add_visualization", "target": "gender", "predicate": json.RawMessage(`{"type": "not", "term": ` + highEarners + `}`),
 	}, &b)
 
 	// Rule 3: comparing them supersedes the two rule-2 hypotheses.
-	var cmp hypothesisResponse
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/compare", map[string]any{
-		"a": a.Visualization.ID, "b": b.Visualization.ID,
+	var cmp stepResponse
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "compare_visualizations", "a": a.Visualization.ID, "b": b.Visualization.ID,
 	}, &cmp), http.StatusCreated)
 
 	var gauge gaugeResponse
@@ -267,34 +268,37 @@ func TestCompareAndStarEndpoints(t *testing.T) {
 	}
 
 	// Explicit t-test on means (the Figure 1 F interaction).
-	var means hypothesisResponse
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/compare", map[string]any{
-		"a": a.Visualization.ID, "b": b.Visualization.ID, "means_of": "age",
+	var means stepResponse
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "compare_means", "a": a.Visualization.ID, "b": b.Visualization.ID, "attribute": "age",
 	}, &means), http.StatusCreated)
 	if !strings.Contains(means.Hypothesis.Method, "t-test") {
 		t.Errorf("means_of comparison used %q, want a t-test", means.Hypothesis.Method)
 	}
 
-	// Star the mean hypothesis if it was rejected; either way the endpoint
-	// must round-trip.
-	starURL := fmt.Sprintf("%s/hypotheses/%d/star", base, means.Hypothesis.ID)
-	wantStatus(t, doJSON(t, http.MethodPost, starURL, starRequest{Starred: true}, nil), http.StatusOK)
+	// Star the mean hypothesis if it was rejected; either way the step must
+	// round-trip.
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "star", "hypothesis": means.Hypothesis.ID, "starred": true,
+	}, nil), http.StatusCreated)
 	doJSON(t, http.MethodGet, base+"/gauge", nil, &gauge)
 	for _, h := range gauge.Hypotheses {
 		if h.ID == means.Hypothesis.ID && !h.Starred {
-			t.Errorf("hypothesis %d not starred after star call", h.ID)
+			t.Errorf("hypothesis %d not starred after star step", h.ID)
 		}
 	}
 
 	// Starring an unknown hypothesis is a 404.
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/hypotheses/999/star", starRequest{Starred: true}, nil), http.StatusNotFound)
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "star", "hypothesis": 999, "starred": true,
+	}, nil), http.StatusNotFound)
 }
 
 func TestDatasetUploadAndSession(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	csv := "city,temp\nBoston,8\nBoston,9\nPhoenix,31\nPhoenix,29\nPhoenix,33\nBoston,7\n"
-	url := ts.URL + "/datasets?name=weather&float=temp"
+	url := ts.URL + "/v1/datasets?name=weather&float=temp"
 	resp, err := http.Post(url, "text/csv", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +315,7 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	resp.Body.Close()
 
 	// Typing one column under two overrides is rejected.
-	resp, err = http.Post(ts.URL+"/datasets?name=w2&float=temp&int=temp", "text/csv", strings.NewReader(csv))
+	resp, err = http.Post(ts.URL+"/v1/datasets?name=w2&float=temp&int=temp", "text/csv", strings.NewReader(csv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,16 +325,17 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	var listing struct {
 		Datasets []DatasetInfo `json:"datasets"`
 	}
-	doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, &listing)
+	doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &listing)
 	if len(listing.Datasets) != 2 {
 		t.Fatalf("dataset listing has %d entries, want 2 (census + weather)", len(listing.Datasets))
 	}
 
 	// Explore the uploaded dataset.
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "weather"}, &info), http.StatusCreated)
-	var viz createVizResponse
-	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/sessions/%d/visualizations", ts.URL, info.ID), map[string]any{
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "weather"}, &info), http.StatusCreated)
+	var viz stepResponse
+	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/steps", ts.URL, info.ID), map[string]any{
+		"op":        "add_visualization",
 		"target":    "temp",
 		"predicate": json.RawMessage(`{"type": "equals", "column": "city", "value": "Phoenix"}`),
 	}, &viz), http.StatusCreated)
@@ -412,8 +417,8 @@ func TestErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	cases := []struct {
 		name   string
@@ -422,17 +427,17 @@ func TestErrorStatuses(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"unknown dataset", http.MethodPost, ts.URL + "/sessions", map[string]any{"dataset": "nope"}, http.StatusNotFound},
-		{"missing dataset", http.MethodPost, ts.URL + "/sessions", map[string]any{}, http.StatusBadRequest},
-		{"unknown policy", http.MethodPost, ts.URL + "/sessions", map[string]any{"dataset": "census", "policy": "yolo"}, http.StatusBadRequest},
-		{"unknown session gauge", http.MethodGet, ts.URL + "/sessions/99999/gauge", nil, http.StatusNotFound},
-		{"non-numeric session id", http.MethodGet, ts.URL + "/sessions/abc/gauge", nil, http.StatusBadRequest},
-		{"unknown viz target", http.MethodPost, base + "/visualizations", map[string]any{"target": "shoe_size"}, http.StatusBadRequest},
-		{"bad predicate", http.MethodPost, base + "/visualizations",
-			map[string]any{"target": "gender", "predicate": json.RawMessage(`{"type": "xor"}`)}, http.StatusBadRequest},
-		{"unknown fields rejected", http.MethodPost, base + "/visualizations",
-			map[string]any{"target": "gender", "predicte": json.RawMessage(highEarners)}, http.StatusBadRequest},
-		{"compare unknown viz", http.MethodPost, base + "/compare", map[string]any{"a": 90, "b": 91}, http.StatusNotFound},
+		{"unknown dataset", http.MethodPost, ts.URL + "/v1/sessions", map[string]any{"dataset": "nope"}, http.StatusNotFound},
+		{"missing dataset", http.MethodPost, ts.URL + "/v1/sessions", map[string]any{}, http.StatusBadRequest},
+		{"unknown policy", http.MethodPost, ts.URL + "/v1/sessions", map[string]any{"dataset": "census", "policy": "yolo"}, http.StatusBadRequest},
+		{"unknown session gauge", http.MethodGet, ts.URL + "/v1/sessions/99999/gauge", nil, http.StatusNotFound},
+		{"non-numeric session id", http.MethodGet, ts.URL + "/v1/sessions/abc/gauge", nil, http.StatusBadRequest},
+		{"unknown viz target", http.MethodPost, base + "/steps", map[string]any{"op": "add_visualization", "target": "shoe_size"}, http.StatusBadRequest},
+		{"bad predicate", http.MethodPost, base + "/steps",
+			map[string]any{"op": "add_visualization", "target": "gender", "predicate": json.RawMessage(`{"type": "xor"}`)}, http.StatusBadRequest},
+		{"unknown fields rejected", http.MethodPost, base + "/steps",
+			map[string]any{"op": "add_visualization", "target": "gender", "predicte": json.RawMessage(highEarners)}, http.StatusBadRequest},
+		{"compare unknown viz", http.MethodPost, base + "/steps", map[string]any{"op": "compare_visualizations", "a": 90, "b": 91}, http.StatusNotFound},
 		{"holdout without predicate", http.MethodPost, base + "/holdout/validate",
 			map[string]any{"attribute": "age"}, http.StatusBadRequest},
 		{"holdout bad alternative", http.MethodPost, base + "/holdout/validate",
@@ -453,19 +458,20 @@ func TestWealthExhaustionConflict(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census", "policy": "gamma-fixed"}, &info)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census", "policy": "gamma-fixed"}, &info)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	// gamma-fixed funds a bounded number of tests; ask for more than it can
 	// pay for. The shuffled-education predicate family keeps each test cheap.
 	sawConflict := false
 	for i := 0; i < 64 && !sawConflict; i++ {
 		body := map[string]any{
+			"op":     "add_visualization",
 			"target": "gender",
 			"predicate": json.RawMessage(fmt.Sprintf(
 				`{"type": "range", "column": "age", "low": %d, "high": %d}`, 18+i, 23+i)),
 		}
-		resp := doJSON(t, http.MethodPost, base+"/visualizations", body, nil)
+		resp := doJSON(t, http.MethodPost, base+"/steps", body, nil)
 		switch resp.StatusCode {
 		case http.StatusCreated:
 		case http.StatusConflict:

@@ -21,8 +21,8 @@ func TestStepsEndpointAndLog(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
-	base := fmt.Sprintf("%s/sessions/%d", ts.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts.URL, info.ID)
 
 	// Apply three steps: two filtered visualizations and a comparison.
 	type stepResp struct {
@@ -133,25 +133,26 @@ func newJournaledServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 func TestJournalSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	// First daemon lifetime: one session driven through both the legacy
-	// endpoints and the generic steps endpoint, plus one session that is
-	// deleted again.
+	// First daemon lifetime: one session driven through the steps endpoint,
+	// plus one session that is deleted again.
 	_, ts1 := newJournaledServer(t, dir)
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/sessions",
+	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions",
 		map[string]any{"dataset": "census", "policy": "gamma-fixed", "alpha": 0.1}, &info), http.StatusCreated)
-	base := fmt.Sprintf("%s/sessions/%d", ts1.URL, info.ID)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/visualizations", map[string]any{
-		"target": "gender", "predicate": json.RawMessage(highEarners),
+	base := fmt.Sprintf("%s/v1/sessions/%d", ts1.URL, info.ID)
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "add_visualization", "target": "gender", "predicate": json.RawMessage(highEarners),
 	}, nil), http.StatusCreated)
 	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
 		"op": "add_visualization", "target": "education", "predicate": json.RawMessage(graduates),
 	}, nil), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, base+"/hypotheses/1/star", map[string]any{"starred": true}, nil), http.StatusOK)
+	wantStatus(t, doJSON(t, http.MethodPost, base+"/steps", map[string]any{
+		"op": "star", "hypothesis": 1, "starred": true,
+	}, nil), http.StatusCreated)
 
 	var doomed SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/sessions", map[string]any{"dataset": "census"}, &doomed), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodDelete, fmt.Sprintf("%s/sessions/%d", ts1.URL, doomed.ID), nil, nil), http.StatusNoContent)
+	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &doomed), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodDelete, fmt.Sprintf("%s/v1/sessions/%d", ts1.URL, doomed.ID), nil, nil), http.StatusNoContent)
 
 	gaugeBefore := doJSON(t, http.MethodGet, base+"/gauge", nil, nil)
 	wantStatus(t, gaugeBefore, http.StatusOK)
@@ -166,7 +167,7 @@ func TestJournalSurvivesRestart(t *testing.T) {
 	if restored != 1 {
 		t.Fatalf("restored %d sessions, want 1 (the deleted one must stay gone)", restored)
 	}
-	gaugeAfter := doJSON(t, http.MethodGet, fmt.Sprintf("%s/sessions/%d/gauge", ts2.URL, info.ID), nil, nil)
+	gaugeAfter := doJSON(t, http.MethodGet, fmt.Sprintf("%s/v1/sessions/%d/gauge", ts2.URL, info.ID), nil, nil)
 	wantStatus(t, gaugeAfter, http.StatusOK)
 	after, _ := io.ReadAll(gaugeAfter.Body)
 	if string(before) != string(after) {
@@ -175,7 +176,7 @@ func TestJournalSurvivesRestart(t *testing.T) {
 
 	// The restored session's spec survived too: policy and alpha stick.
 	var restoredInfo SessionInfo
-	wantStatus(t, doJSON(t, http.MethodGet, fmt.Sprintf("%s/sessions/%d", ts2.URL, info.ID), nil, &restoredInfo), http.StatusOK)
+	wantStatus(t, doJSON(t, http.MethodGet, fmt.Sprintf("%s/v1/sessions/%d", ts2.URL, info.ID), nil, &restoredInfo), http.StatusOK)
 	if restoredInfo.Alpha != 0.1 || restoredInfo.Policy != "gamma-fixed(10)" {
 		t.Errorf("restored session lost its spec: %+v", restoredInfo)
 	}
@@ -183,17 +184,17 @@ func TestJournalSurvivesRestart(t *testing.T) {
 	// New sessions never collide with restored IDs (deleted sessions take
 	// their journals with them, so only surviving IDs form the ceiling).
 	var next SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts2.URL+"/sessions", map[string]any{"dataset": "census"}, &next), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts2.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &next), http.StatusCreated)
 	if next.ID <= info.ID {
 		t.Errorf("new session ID %d not past the restored ceiling %d", next.ID, info.ID)
 	}
 
 	// And the restored session keeps journaling: a step applied after the
 	// restart lands in the same file.
-	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/sessions/%d/steps", ts2.URL, info.ID), map[string]any{
+	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/steps", ts2.URL, info.ID), map[string]any{
 		"op": "compare_visualizations", "a": 1, "b": 2,
 	}, nil), http.StatusBadRequest) // different targets: rejected, not journaled
-	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/sessions/%d/steps", ts2.URL, info.ID), map[string]any{
+	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/steps", ts2.URL, info.ID), map[string]any{
 		"op": "star", "hypothesis": 2, "starred": true,
 	}, nil), http.StatusCreated)
 	data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("session-%d.jsonl", info.ID)))
@@ -242,8 +243,8 @@ func TestRestoreToleratesCorruptJournals(t *testing.T) {
 	// A healthy session from a first daemon lifetime.
 	_, ts1 := newJournaledServer(t, dir)
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
-	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/sessions/%d/steps", ts1.URL, info.ID), map[string]any{
+	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, fmt.Sprintf("%s/v1/sessions/%d/steps", ts1.URL, info.ID), map[string]any{
 		"op": "add_visualization", "target": "gender", "predicate": json.RawMessage(highEarners),
 	}, nil), http.StatusCreated)
 
@@ -274,7 +275,7 @@ func TestRestoreToleratesCorruptJournals(t *testing.T) {
 	var gauge struct {
 		Tests int `json:"tests"`
 	}
-	wantStatus(t, doJSON(t, http.MethodGet, ts2.URL+"/sessions/9/gauge", nil, &gauge), http.StatusOK)
+	wantStatus(t, doJSON(t, http.MethodGet, ts2.URL+"/v1/sessions/9/gauge", nil, &gauge), http.StatusOK)
 	if gauge.Tests != 1 {
 		t.Errorf("truncated journal restored %d tests, want 1", gauge.Tests)
 	}
@@ -328,7 +329,7 @@ func TestTornJournalTailIsTruncatedOnReopen(t *testing.T) {
 	if restored, err := s1.RestoreSessions(); err != nil || restored != 1 {
 		t.Fatalf("restart 1: restored %d, err %v", restored, err)
 	}
-	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/sessions/3/steps", map[string]any{
+	wantStatus(t, doJSON(t, http.MethodPost, ts1.URL+"/v1/sessions/3/steps", map[string]any{
 		"op": "star", "hypothesis": 1, "starred": true,
 	}, nil), http.StatusCreated)
 
@@ -341,7 +342,7 @@ func TestTornJournalTailIsTruncatedOnReopen(t *testing.T) {
 		Tests   int `json:"tests"`
 		Starred int `json:"starred"`
 	}
-	wantStatus(t, doJSON(t, http.MethodGet, ts2.URL+"/sessions/3/gauge", nil, &gauge), http.StatusOK)
+	wantStatus(t, doJSON(t, http.MethodGet, ts2.URL+"/v1/sessions/3/gauge", nil, &gauge), http.StatusOK)
 	if gauge.Tests != 1 || gauge.Starred != 1 {
 		t.Errorf("after two restarts: tests = %d, starred = %d; want 1, 1", gauge.Tests, gauge.Starred)
 	}
@@ -361,7 +362,7 @@ func TestCreateSkipsIDsOfKeptJournals(t *testing.T) {
 		t.Fatalf("restored %d, err %v", restored, err)
 	}
 	var info SessionInfo
-	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
+	wantStatus(t, doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{"dataset": "census"}, &info), http.StatusCreated)
 	if info.ID <= 2 {
 		t.Errorf("new session got ID %d, must be past the kept journal's 2", info.ID)
 	}
