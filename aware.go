@@ -21,20 +21,18 @@
 //
 //	table, _ := aware.GenerateCensus(aware.CensusConfig{Rows: 30000, Seed: 1, SignalStrength: 1})
 //	session, _ := aware.NewSession(table, aware.SessionOptions{})
-//	viz, hyp, _ := session.AddVisualization("gender",
-//	    aware.Equals{Column: "salary_over_50k", Value: "true"})
+//	res, _ := session.Apply(aware.AddVisualization{Target: "gender",
+//	    Filter: aware.Equals{Column: "salary_over_50k", Value: "true"}})
+//	fmt.Println(res.Hypothesis.Summary())
 //	fmt.Println(session.Gauge().Render())
-//	_ = viz
-//	_ = hyp
 //
-// Every mutation is equally expressible as a serializable Step command, and
-// the session journals each applied step, so an exploration can be recorded,
-// persisted and replayed deterministically:
+// Every mutation is a serializable Step command applied through
+// Session.Apply, and the session journals each applied step, so an
+// exploration can be recorded, persisted and replayed deterministically:
 //
-//	res, _ := session.Apply(aware.CompareMeans{Attribute: "age", A: 1, B: 2})
 //	steps := aware.StepsFromLog(session.Log())
 //	twin, _ := aware.Replay(table, aware.SessionOptions{}, steps)
-//	_, _ = res, twin
+//	_ = twin
 //
 // Everything is deterministic given explicit seeds and uses only the Go
 // standard library.
@@ -81,7 +79,7 @@ var NewHoldoutValidator = core.NewHoldoutValidator
 // The Steps API: every session mutation is a serializable command value
 // dispatched through Session.Apply, journaled in order (Session.Log) and
 // deterministically replayable (Replay). The step types below form a closed
-// set; the exported Session methods are one-line wrappers over them.
+// set, and Session.Apply is the only way to change a session.
 type (
 	// Step is one serializable exploration command.
 	Step = core.Step

@@ -19,15 +19,17 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unfiltered chart: descriptive.
-	_, hyp, err := session.AddVisualization("gender", nil)
+	res, err := session.Apply(aware.AddVisualization{Target: "gender"})
+	hyp := res.Hypothesis
 	if err != nil || hyp != nil {
 		t.Fatalf("descriptive chart: %v, %v", hyp, err)
 	}
 	// Filtered chart: rule-2 hypothesis on a strongly planted correlation.
-	_, hyp, err = session.AddVisualization("gender", aware.Equals{Column: "salary_over_50k", Value: "true"})
+	res, err = session.Apply(aware.AddVisualization{Target: "gender", Filter: aware.Equals{Column: "salary_over_50k", Value: "true"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hyp = res.Hypothesis
 	if hyp == nil || !hyp.Rejected {
 		t.Fatalf("expected a discovery, got %+v", hyp)
 	}

@@ -334,8 +334,8 @@ func BenchmarkSessionAddVisualization(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		_, _, err = session.AddVisualization(census.ColGender,
-			dataset.Equals{Column: census.ColEducation, Value: values[i%len(values)]})
+		_, err = session.Apply(core.AddVisualization{Target: census.ColGender,
+			Filter: dataset.Equals{Column: census.ColEducation, Value: values[i%len(values)]}})
 		if err != nil {
 			b.Fatal(err)
 		}

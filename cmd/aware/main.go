@@ -139,11 +139,11 @@ func execute(session *core.Session, line string, out *os.File) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: show <attr>")
 		}
-		viz, _, err := session.AddVisualization(fields[1], nil)
+		res, err := session.Apply(core.AddVisualization{Target: fields[1]})
 		if err != nil {
 			return err
 		}
-		return printHistogram(session, viz, out)
+		return printHistogram(session, res.Visualization, out)
 	case "viz":
 		return executeViz(session, fields, out)
 	case "compare":
@@ -155,11 +155,11 @@ func execute(session *core.Session, line string, out *os.File) error {
 		if errA != nil || errB != nil {
 			return fmt.Errorf("visualization ids must be integers")
 		}
-		hyp, err := session.CompareVisualizations(a, b)
+		res, err := session.Apply(core.CompareVisualizations{A: a, B: b})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(out, hyp.Summary())
+		fmt.Fprintln(out, res.Hypothesis.Summary())
 		return nil
 	case "means":
 		if len(fields) != 4 {
@@ -170,11 +170,11 @@ func execute(session *core.Session, line string, out *os.File) error {
 		if errA != nil || errB != nil {
 			return fmt.Errorf("visualization ids must be integers")
 		}
-		hyp, err := session.CompareMeans(fields[1], a, b)
+		res, err := session.Apply(core.CompareMeans{Attribute: fields[1], A: a, B: b})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(out, hyp.Summary())
+		fmt.Fprintln(out, res.Hypothesis.Summary())
 		return nil
 	case "star":
 		if len(fields) != 2 {
@@ -184,7 +184,8 @@ func execute(session *core.Session, line string, out *os.File) error {
 		if err != nil {
 			return fmt.Errorf("hypothesis id must be an integer")
 		}
-		return session.Star(id, true)
+		_, err = session.Apply(core.Star{Hypothesis: id, Starred: true})
+		return err
 	case "delete":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: delete <viz>")
@@ -193,7 +194,8 @@ func execute(session *core.Session, line string, out *os.File) error {
 		if err != nil {
 			return fmt.Errorf("visualization id must be an integer")
 		}
-		return session.DeclareDescriptive(id)
+		_, err = session.Apply(core.DeclareDescriptive{Visualization: id})
+		return err
 	default:
 		return fmt.Errorf("unknown command %q (try 'help')", fields[0])
 	}
@@ -221,15 +223,15 @@ func executeViz(session *core.Session, fields []string, out *os.File) error {
 			terms = append(terms, dataset.Equals{Column: col, Value: val})
 		}
 	}
-	viz, hyp, err := session.AddVisualization(target, dataset.And{Terms: terms})
+	res, err := session.Apply(core.AddVisualization{Target: target, Filter: dataset.And{Terms: terms}})
 	if err != nil {
 		return err
 	}
-	if err := printHistogram(session, viz, out); err != nil {
+	if err := printHistogram(session, res.Visualization, out); err != nil {
 		return err
 	}
-	if hyp != nil {
-		fmt.Fprintln(out, hyp.Summary())
+	if res.Hypothesis != nil {
+		fmt.Fprintln(out, res.Hypothesis.Summary())
 	}
 	return nil
 }

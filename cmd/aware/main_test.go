@@ -2,8 +2,11 @@ package main
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"aware/internal/core"
 )
 
 // runSession drives the REPL with scripted input and returns its output.
@@ -53,6 +56,7 @@ func TestREPLFullSession(t *testing.T) {
 		"means age 2 3",
 		"delete 2",
 		"gauge",
+		"log",
 		"bogus command",
 		"viz gender where bad-token",
 		"quit",
@@ -71,6 +75,26 @@ func TestREPLFullSession(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("REPL output missing %q", want)
 		}
+	}
+	// The journal printed by "log" pins which step each command applied.
+	var kinds []string
+	for _, line := range strings.Split(out, "\n") {
+		i := strings.Index(line, `{"op":`)
+		if i < 0 {
+			continue
+		}
+		step, err := core.UnmarshalStep([]byte(line[i:]))
+		if err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		kinds = append(kinds, step.Kind())
+	}
+	want := []string{
+		"add_visualization", "add_visualization", "add_visualization",
+		"compare_visualizations", "star", "compare_means", "declare_descriptive",
+	}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Errorf("journal kinds = %v, want %v", kinds, want)
 	}
 }
 

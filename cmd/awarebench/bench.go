@@ -49,9 +49,9 @@ func runBenchCore(outPath string, seed int64, rows int) error {
 		sess := newSession()
 		for i := 0; i < 10; i++ {
 			lo := float64(20 + 3*i)
-			if _, _, err := sess.AddVisualization(census.ColGender, dataset.Range{
+			if _, err := sess.Apply(core.AddVisualization{Target: census.ColGender, Filter: dataset.Range{
 				Column: census.ColAge, Low: lo, High: lo + 5,
-			}); err != nil {
+			}}); err != nil {
 				panic(err)
 			}
 		}
@@ -71,7 +71,7 @@ func runBenchCore(outPath string, seed int64, rows int) error {
 				b.StopTimer()
 				sess := newSession()
 				b.StartTimer()
-				if _, _, err := sess.AddVisualization(census.ColGender, filter); err != nil {
+				if _, err := sess.Apply(core.AddVisualization{Target: census.ColGender, Filter: filter}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -50,20 +50,20 @@ import (
 
 // options is awareload's resolved command line.
 type options struct {
-	scenario   string
-	sessions   int
-	duration   time.Duration
-	rows       int
-	seed       int64
-	addrs      []string
-	dataset    string
-	dataDir    string
-	think      time.Duration
-	thinkDist  string
-	loadSeed   int64
-	minSupport int
-	benchOut   string
-	traceOut   string
+	scenario      string
+	sessions      int
+	duration      time.Duration
+	rows          int
+	seed          int64
+	addrs         []string
+	dataset       string
+	dataDir       string
+	think         time.Duration
+	thinkDist     string
+	loadSeed      int64
+	minSupport    int
+	benchOut      string
+	traceOut      string
 	checkLeaks    bool
 	checkObs      bool
 	checkAffinity bool

@@ -250,14 +250,14 @@ func TestGenerateWorkflowDeterministicAndValidated(t *testing.T) {
 }
 
 func TestEvaluateStepBothKinds(t *testing.T) {
-	tab := smallCensus(t)
+	sel := dataset.NewSelectionCache(smallCensus(t))
 	popStep := WorkflowStep{
 		ID:     1,
 		Kind:   FilterVsPopulation,
 		Target: ColGender,
 		Filter: dataset.Equals{Column: ColSalaryOver50K, Value: "true"},
 	}
-	res, err := EvaluateStep(tab, popStep)
+	res, err := EvaluateStep(sel, popStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestEvaluateStepBothKinds(t *testing.T) {
 		Target: ColGender,
 		Filter: dataset.Equals{Column: ColSalaryOver50K, Value: "true"},
 	}
-	res2, err := EvaluateStep(tab, compStep)
+	res2, err := EvaluateStep(sel, compStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,13 +283,13 @@ func TestEvaluateStepBothKinds(t *testing.T) {
 	}
 
 	// Errors: missing filter, unknown kind, bad target.
-	if _, err := EvaluateStep(tab, WorkflowStep{ID: 3, Target: ColGender}); err == nil {
+	if _, err := EvaluateStep(sel, WorkflowStep{ID: 3, Target: ColGender}); err == nil {
 		t.Error("expected error for nil filter")
 	}
-	if _, err := EvaluateStep(tab, WorkflowStep{ID: 4, Kind: HypothesisKind(9), Target: ColGender, Filter: popStep.Filter}); err == nil {
+	if _, err := EvaluateStep(sel, WorkflowStep{ID: 4, Kind: HypothesisKind(9), Target: ColGender, Filter: popStep.Filter}); err == nil {
 		t.Error("expected error for unknown kind")
 	}
-	if _, err := EvaluateStep(tab, WorkflowStep{ID: 5, Kind: FilterVsPopulation, Target: "missing", Filter: popStep.Filter}); err == nil {
+	if _, err := EvaluateStep(sel, WorkflowStep{ID: 5, Kind: FilterVsPopulation, Target: "missing", Filter: popStep.Filter}); err == nil {
 		t.Error("expected error for missing target")
 	}
 }

@@ -23,22 +23,16 @@ type StepResult struct {
 }
 
 // EvaluateStep computes the p-value of a single workflow hypothesis on the
-// given table using the chi-squared tests that AWARE's default hypotheses
+// table of sel using the chi-squared tests that AWARE's default hypotheses
 // prescribe: a goodness-of-fit test against the population distribution for
 // FilterVsPopulation, and an independence test between the filtered and
 // complementary sub-populations for FilterVsComplement. Both delegate to the
 // evaluation layer of internal/core, so the paper-figure harness runs the
 // exact tests an interactive session would run for the equivalent core.Step
-// sequence (see Workflow.CoreSteps).
-func EvaluateStep(t *dataset.Table, step WorkflowStep) (StepResult, error) {
-	return EvaluateStepWith(dataset.NewSelectionCache(t), step)
-}
-
-// EvaluateStepWith is EvaluateStep resolving filters through the given
-// selection cache, so a whole workflow (EvaluateWorkflow) — or repeated
-// evaluations over one table — compiles each distinct filter chain into a
-// bitmap exactly once.
-func EvaluateStepWith(sel *dataset.SelectionCache, step WorkflowStep) (StepResult, error) {
+// sequence (see Workflow.CoreSteps). Filters resolve through sel, so a whole
+// workflow (EvaluateWorkflow) — or repeated evaluations over one table —
+// compiles each distinct filter chain into a bitmap exactly once.
+func EvaluateStep(sel *dataset.SelectionCache, step WorkflowStep) (StepResult, error) {
 	if step.Filter == nil {
 		return StepResult{}, fmt.Errorf("census: step %d has no filter", step.ID)
 	}
@@ -47,14 +41,14 @@ func EvaluateStepWith(sel *dataset.SelectionCache, step WorkflowStep) (StepResul
 
 	switch step.Kind {
 	case FilterVsPopulation:
-		test, support, err := core.FilterVsPopulationTestWith(sel, step.Target, step.Filter)
+		test, support, err := core.FilterVsPopulationTest(sel, step.Target, step.Filter, nil)
 		if err != nil {
 			return StepResult{}, fmt.Errorf("census: step %d: %w", step.ID, err)
 		}
 		result.Test = test
 		result.SupportSize = support
 	case FilterVsComplement:
-		test, support, _, err := core.ComparisonTestWith(sel, step.Target, step.Filter, dataset.Not{Inner: step.Filter})
+		test, support, _, err := core.ComparisonTest(sel, step.Target, step.Filter, dataset.Not{Inner: step.Filter}, nil)
 		if err != nil {
 			return StepResult{}, fmt.Errorf("census: step %d: %w", step.ID, err)
 		}
@@ -79,7 +73,7 @@ func EvaluateWorkflow(t *dataset.Table, w *Workflow) ([]StepResult, error) {
 	sel := dataset.NewSelectionCache(t)
 	results := make([]StepResult, 0, len(w.Steps))
 	for _, step := range w.Steps {
-		res, err := EvaluateStepWith(sel, step)
+		res, err := EvaluateStep(sel, step)
 		if err != nil {
 			// Degenerate sub-population (empty filter or collapsed table):
 			// keep the step with a non-informative p-value.

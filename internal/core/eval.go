@@ -51,23 +51,12 @@ func referenceCounts(sub dataset.View, target string, span *obs.Span) ([]int, er
 
 // FilterVsPopulationTest runs heuristic rule 2's default test: the
 // distribution of target under filter against its distribution over the whole
-// reference table, as a χ² goodness-of-fit test. It returns the test result
-// and the filtered support size.
-func FilterVsPopulationTest(ref *dataset.Table, target string, filter dataset.Predicate) (stats.TestResult, int, error) {
-	return FilterVsPopulationTestWith(dataset.NewSelectionCache(ref), target, filter)
-}
-
-// FilterVsPopulationTestWith is FilterVsPopulationTest resolving filters
-// through the given selection cache (the session's own, or a server-wide
-// per-dataset cache shared across sessions).
-func FilterVsPopulationTestWith(sel *dataset.SelectionCache, target string, filter dataset.Predicate) (stats.TestResult, int, error) {
-	return filterVsPopulationTest(sel, target, filter, nil)
-}
-
-// filterVsPopulationTest is the span-aware body behind
-// FilterVsPopulationTestWith: a traced session passes its step span so the
-// filter compilation and both counting passes appear as kernel spans.
-func filterVsPopulationTest(sel *dataset.SelectionCache, target string, filter dataset.Predicate, span *obs.Span) (stats.TestResult, int, error) {
+// table of sel, as a χ² goodness-of-fit test. Filters resolve through sel (the
+// session's own cache, or a server-wide per-dataset cache shared across
+// sessions). A non-nil span — a traced session's step span — records the
+// filter compilation and both counting passes as kernel spans. It returns the
+// test result and the filtered support size.
+func FilterVsPopulationTest(sel *dataset.SelectionCache, target string, filter dataset.Predicate, span *obs.Span) (stats.TestResult, int, error) {
 	sub, err := sel.ViewSpan(filter, span)
 	if err != nil {
 		return stats.TestResult{}, 0, err
@@ -97,20 +86,11 @@ func filterVsPopulationTest(sel *dataset.SelectionCache, target string, filter d
 
 // ComparisonTest runs heuristic rule 3's default test: a χ² independence test
 // between the distributions of target under filterA and under filterB, with
-// the category set / bin edges fixed by the reference table. It returns the
-// test result and the two support sizes.
-func ComparisonTest(ref *dataset.Table, target string, filterA, filterB dataset.Predicate) (stats.TestResult, int, int, error) {
-	return ComparisonTestWith(dataset.NewSelectionCache(ref), target, filterA, filterB)
-}
-
-// ComparisonTestWith is ComparisonTest resolving filters through the given
-// selection cache.
-func ComparisonTestWith(sel *dataset.SelectionCache, target string, filterA, filterB dataset.Predicate) (stats.TestResult, int, int, error) {
-	return comparisonTest(sel, target, filterA, filterB, nil)
-}
-
-// comparisonTest is the span-aware body behind ComparisonTestWith.
-func comparisonTest(sel *dataset.SelectionCache, target string, filterA, filterB dataset.Predicate, span *obs.Span) (stats.TestResult, int, int, error) {
+// the category set / bin edges fixed by the table of sel. Filters resolve
+// through sel and a non-nil span records the kernels, as in
+// FilterVsPopulationTest. It returns the test result and the two support
+// sizes.
+func ComparisonTest(sel *dataset.SelectionCache, target string, filterA, filterB dataset.Predicate, span *obs.Span) (stats.TestResult, int, int, error) {
 	subA, err := sel.ViewSpan(filterA, span)
 	if err != nil {
 		return stats.TestResult{}, 0, 0, err

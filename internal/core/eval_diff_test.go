@@ -184,7 +184,7 @@ func TestFilterVsPopulationMatchesLegacy(t *testing.T) {
 		for _, target := range []string{"group", "flag", "age"} {
 			for fi, filter := range diffFilters(rng) {
 				label := describeFilter(filter)
-				gotTest, gotN, gotErr := FilterVsPopulationTestWith(sel, target, filter)
+				gotTest, gotN, gotErr := FilterVsPopulationTest(sel, target, filter, nil)
 				wantTest, wantN, wantErr := legacyFilterVsPopulationTest(tab, target, filter)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("trial %d filter %d (%s) target %s: error mismatch: vectorized %v, legacy %v",
@@ -211,7 +211,7 @@ func TestComparisonMatchesLegacy(t *testing.T) {
 		for _, target := range []string{"group", "flag", "age"} {
 			for i := 0; i < len(filters); i++ {
 				fa, fb := filters[i], filters[(i+3)%len(filters)]
-				gotTest, gotA, gotB, gotErr := ComparisonTestWith(sel, target, fa, fb)
+				gotTest, gotA, gotB, gotErr := ComparisonTest(sel, target, fa, fb, nil)
 				wantTest, wantA, wantB, wantErr := legacyComparisonTest(tab, target, fa, fb)
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("trial %d target %s: error mismatch: vectorized %v, legacy %v", trial, target, gotErr, wantErr)

@@ -124,11 +124,11 @@ func TestEvalParityAcrossPools(t *testing.T) {
 		defer pool.Close()
 		tab.SetPool(pool)
 		cache := dataset.NewSelectionCache(tab)
-		t1, n1, err := core.FilterVsPopulationTestWith(cache, census.ColGender, filter)
+		t1, n1, err := core.FilterVsPopulationTest(cache, census.ColGender, filter, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, n2a, n2b, err := core.ComparisonTestWith(cache, census.ColAge, filter, other)
+		t2, n2a, n2b, err := core.ComparisonTest(cache, census.ColAge, filter, other, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

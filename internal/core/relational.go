@@ -15,35 +15,6 @@ import (
 // Where kernels; like every other step they do all fallible work before
 // mutating session state.
 
-// DeriveColumn extends the session's table with a computed numeric column and
-// continues the session over the extended table. Existing visualizations and
-// hypotheses stay valid (the row set is unchanged); later steps can filter,
-// group and test on the new column.
-func (s *Session) DeriveColumn(name string, e dataset.Expr) error {
-	_, err := s.Apply(DeriveColumn{Name: name, Expr: e})
-	return err
-}
-
-// JoinDataset equi-joins the session's table with a catalog dataset and
-// continues the session over the join result (left columns keep their names,
-// right columns gain prefix). The session must have been opened with
-// Options.Catalog.
-func (s *Session) JoinDataset(name, leftKey, rightKey, prefix string) error {
-	_, err := s.Apply(JoinDataset{Dataset: name, LeftKey: leftKey, RightKey: rightKey, Prefix: prefix})
-	return err
-}
-
-// GroupBy tests the independence of two attributes over the filtered rows
-// with a χ² test on their contingency table — the group-by generalization of
-// the rule-2/rule-3 defaults to arbitrary column pairs.
-func (s *Session) GroupBy(rowAttr, colAttr string, filter dataset.Predicate) (*Hypothesis, error) {
-	res, err := s.Apply(GroupByHypothesis{RowAttr: rowAttr, ColAttr: colAttr, Filter: filter})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
 // scanNode is the plan leaf every relational step builds on: the session's
 // current table read through its filter-bitmap cache, so scan-level filters
 // are served by exact and subsumption cache hits.

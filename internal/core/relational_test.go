@@ -149,7 +149,7 @@ func TestRelationalStepsMatchDirectEvaluation(t *testing.T) {
 		Arg:   dataset.Binary{Op: dataset.OpMul, L: dataset.Col{Name: "x"}, R: dataset.Const{Value: 10}},
 		Width: 5,
 	}
-	if err := sess.DeriveColumn("x_bucket", expr); err != nil {
+	if _, err := sess.Apply(DeriveColumn{Name: "x_bucket", Expr: expr}); err != nil {
 		t.Fatal(err)
 	}
 	wantDerived, err := tab.Derive("x_bucket", expr)
@@ -167,7 +167,7 @@ func TestRelationalStepsMatchDirectEvaluation(t *testing.T) {
 		}
 	}
 
-	if err := sess.JoinDataset("groups", "group", "name", "g_"); err != nil {
+	if _, err := sess.Apply(JoinDataset{Dataset: "groups", LeftKey: "group", RightKey: "name", Prefix: "g_"}); err != nil {
 		t.Fatal(err)
 	}
 	lv, err := dataset.NewView(wantDerived, dataset.FullSelection(wantDerived.NumRows()))
@@ -213,10 +213,11 @@ func TestRelationalStepsMatchDirectEvaluation(t *testing.T) {
 	// The group-by hypothesis over the joined table: support must equal the
 	// filter's selectivity on the joined rows.
 	filter := dataset.GreaterThan{Column: "g_weight", Threshold: 1}
-	hyp, err := sess.GroupBy("group", "color", filter)
+	res, err := sess.Apply(GroupByHypothesis{RowAttr: "group", ColAttr: "color", Filter: filter})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hyp := res.Hypothesis
 	sel, err := wantJoined.Where(filter)
 	if err != nil {
 		t.Fatal(err)

@@ -14,18 +14,17 @@ import (
 func TestSessionReportRoundTrip(t *testing.T) {
 	s := newSession(t, testCensus(t))
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	_, hyp, err := s.AddVisualization(census.ColGender, rich)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender, Filter: rich})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Star(hyp.ID, true); err != nil {
+	hyp := res.Hypothesis
+	if _, err := s.Apply(core.Star{Hypothesis: hyp.ID, Starred: true}); err != nil {
 		t.Fatal(err)
 	}
-	_, m2, err := s.AddVisualization(census.ColMaritalStatus, dataset.Equals{Column: census.ColEducation, Value: "PhD"})
-	if err != nil {
+	if _, err := s.Apply(core.AddVisualization{Target: census.ColMaritalStatus, Filter: dataset.Equals{Column: census.ColEducation, Value: "PhD"}}); err != nil {
 		t.Fatal(err)
 	}
-	_ = m2
 
 	now := time.Date(2026, 6, 16, 12, 0, 0, 0, time.UTC)
 	report := s.Report(now)
@@ -76,10 +75,11 @@ func TestReportEncodesInfiniteMultiplierAsSentinel(t *testing.T) {
 	// export must encode it as -1 rather than failing on +Inf.
 	s := newSession(t, testCensus(t))
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	_, hyp, err := s.AddVisualization(census.ColGender, rich)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender, Filter: rich})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hyp := res.Hypothesis
 	hyp.DataMultiplier = inf()
 	report := s.Report(time.Unix(0, 0))
 	if report.Hypotheses[0].DataMultiplier != -1 {

@@ -55,21 +55,17 @@ type Options struct {
 // α-investing procedure that decides, incrementally and irrevocably, which
 // null hypotheses are rejected.
 //
-// Every mutation is a Step applied through Apply — the exported mutating
-// methods (AddVisualization, CompareVisualizations, TestAgainstExpectation,
-// CompareMeans, CompareDistributions, DeclareDescriptive, Star) are one-line
-// wrappers that build the corresponding Step — and every successful Step is
-// recorded in the append-only journal returned by Log, so a session can be
-// persisted and reconstructed deterministically with Replay.
+// Every mutation is a Step applied through Apply (or ApplyTraced), and every
+// successful Step is recorded in the append-only journal returned by Log, so a
+// session can be persisted and reconstructed deterministically with Replay.
 //
-// Session is not safe for concurrent use: every exported mutating method goes
-// through Apply, and the accessors read state Apply mutates. Accessors return
-// copied slices, but the *Visualization and *Hypothesis elements point at
-// live session state, so even "read-only" use must be serialized with
-// writers. A single-user front-end drives a Session from one event loop; a
-// multi-session service must own each Session behind a per-session lock and
-// finish serializing snapshots before releasing it, as
-// internal/server.SessionManager does.
+// Session is not safe for concurrent use: Apply mutates the session, and the
+// accessors read state Apply mutates. Accessors return copied slices, but the
+// *Visualization and *Hypothesis elements point at live session state, so
+// even "read-only" use must be serialized with writers. A single-user
+// front-end drives a Session from one event loop; a multi-session service
+// must own each Session behind a per-session lock and finish serializing
+// snapshots before releasing it, as internal/server.SessionManager does.
 type Session struct {
 	data     *dataset.Table
 	sel      *dataset.SelectionCache
@@ -215,96 +211,6 @@ func (s *Session) hypothesis(id int) (*Hypothesis, error) {
 	return s.hypotheses[id-1], nil
 }
 
-// AddVisualization creates a new chart for the target attribute restricted by
-// the given filter chain (nil for the whole dataset) and applies the default
-// hypothesis heuristics:
-//
-//   - Rule 1: an unfiltered visualization is descriptive — no hypothesis is
-//     created (the returned hypothesis is nil). The user can attach one later
-//     with TestAgainstExpectation.
-//   - Rule 2: a filtered visualization creates the default hypothesis that the
-//     filter makes no difference compared to the distribution of the target
-//     over the whole dataset, tested with a χ² goodness-of-fit test.
-func (s *Session) AddVisualization(target string, filter dataset.Predicate) (*Visualization, *Hypothesis, error) {
-	res, err := s.Apply(AddVisualization{Target: target, Filter: filter})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Visualization, res.Hypothesis, nil
-}
-
-// CompareVisualizations applies heuristic rule 3: the two visualizations show
-// the same target attribute under complementary (or simply different) filter
-// chains, and the user placed them next to each other, so the default
-// hypothesis becomes "the two visualized distributions do not differ", tested
-// with a χ² independence test. Any rule-2 hypotheses previously attached to
-// the two visualizations are superseded.
-func (s *Session) CompareVisualizations(aID, bID int) (*Hypothesis, error) {
-	res, err := s.Apply(CompareVisualizations{A: aID, B: bID})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
-// TestAgainstExpectation attaches a user-defined hypothesis to an unfiltered
-// visualization (rule 1's escape hatch): the user states the proportions they
-// expected for the target's categories, and the system tests the observed
-// distribution against that expectation with a χ² goodness-of-fit test.
-// The expected map gives relative weights per category; missing categories
-// count as weight zero.
-func (s *Session) TestAgainstExpectation(vizID int, expected map[string]float64) (*Hypothesis, error) {
-	res, err := s.Apply(TestAgainstExpectation{Visualization: vizID, Expected: expected})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
-// CompareMeans overrides the default distribution comparison with a Welch
-// t-test on the means of a numeric attribute between two filtered
-// sub-populations — the explicit test of Figure 1 (F) where the user drags
-// two age charts together and the default hypothesis m4 is replaced by m4'
-// about the average age. Hypotheses previously attached to the two
-// visualizations are superseded.
-func (s *Session) CompareMeans(numericAttr string, aID, bID int) (*Hypothesis, error) {
-	res, err := s.Apply(CompareMeans{Attribute: numericAttr, A: aID, B: bID})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
-// CompareDistributions overrides the default comparison with a two-sample
-// Kolmogorov–Smirnov test on a numeric attribute between two filtered
-// sub-populations — useful when the analyst cares about the whole shape of
-// the distribution rather than its mean, or when the attribute is too skewed
-// for a t-test. Hypotheses previously attached to the two visualizations are
-// superseded, exactly as in CompareMeans.
-func (s *Session) CompareDistributions(numericAttr string, aID, bID int) (*Hypothesis, error) {
-	res, err := s.Apply(CompareDistributions{Attribute: numericAttr, A: aID, B: bID})
-	if err != nil {
-		return nil, err
-	}
-	return res.Hypothesis, nil
-}
-
-// DeclareDescriptive marks the hypothesis attached to a visualization as
-// deleted: the user states that the chart was purely descriptive (or only a
-// stepping stone, Section 2.4). The α-wealth already spent on it is not
-// refunded — refunding would break the mFDR guarantee — but the hypothesis no
-// longer appears among the session's findings.
-func (s *Session) DeclareDescriptive(vizID int) error {
-	_, err := s.Apply(DeclareDescriptive{Visualization: vizID})
-	return err
-}
-
-// Star marks or unmarks a hypothesis as an important discovery (Figure 2 E).
-func (s *Session) Star(hypothesisID int, starred bool) error {
-	_, err := s.Apply(Star{Hypothesis: hypothesisID, Starred: starred})
-	return err
-}
-
 // --- step implementations ---
 //
 // Each of the following performs all fallible work (lookups, statistics, the
@@ -341,7 +247,7 @@ func (s *Session) compareVisualizations(aID, bID int) (*Hypothesis, error) {
 	if a.Target != b.Target {
 		return nil, fmt.Errorf("%w: %q vs %q", ErrNotComplementary, a.Target, b.Target)
 	}
-	test, nA, nB, err := comparisonTest(s.sel, a.Target, a.Filter, b.Filter, s.trace)
+	test, nA, nB, err := ComparisonTest(s.sel, a.Target, a.Filter, b.Filter, s.trace)
 	if err != nil {
 		return nil, fmt.Errorf("core: comparison hypothesis for %q vs %q: %w", a.Describe(), b.Describe(), err)
 	}
@@ -514,7 +420,7 @@ func (s *Session) supersedeAttached(replacement *Hypothesis, vizzes ...*Visualiz
 // testFilterVsPopulation runs the rule-2 default hypothesis for a filtered
 // visualization.
 func (s *Session) testFilterVsPopulation(viz *Visualization) (*Hypothesis, error) {
-	test, support, err := filterVsPopulationTest(s.sel, viz.Target, viz.Filter, s.trace)
+	test, support, err := FilterVsPopulationTest(s.sel, viz.Target, viz.Filter, s.trace)
 	if err != nil {
 		return nil, fmt.Errorf("core: default hypothesis for %q: %w", viz.Describe(), err)
 	}

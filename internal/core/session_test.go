@@ -60,10 +60,11 @@ func TestNewSessionDefaultsAndValidation(t *testing.T) {
 
 func TestRule1UnfilteredVisualizationIsDescriptive(t *testing.T) {
 	s := newSession(t, testCensus(t))
-	viz, hyp, err := s.AddVisualization(census.ColGender, nil)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender})
 	if err != nil {
 		t.Fatal(err)
 	}
+	viz, hyp := res.Visualization, res.Hypothesis
 	if hyp != nil {
 		t.Error("rule 1: unfiltered visualization must not create a hypothesis")
 	}
@@ -89,10 +90,11 @@ func TestRule2FilteredVisualizationCreatesHypothesis(t *testing.T) {
 	s := newSession(t, testCensus(t))
 	// Figure 1 (B): gender distribution filtered to salary > 50k.
 	filter := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	viz, hyp, err := s.AddVisualization(census.ColGender, filter)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender, Filter: filter})
 	if err != nil {
 		t.Fatal(err)
 	}
+	viz, hyp := res.Visualization, res.Hypothesis
 	if hyp == nil {
 		t.Fatal("rule 2: filtered visualization must create a hypothesis")
 	}
@@ -126,18 +128,21 @@ func TestRule3ComparisonSupersedesRule2(t *testing.T) {
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
 	poor := dataset.Not{Inner: rich}
 	// Figure 1 (B) and (C): gender | rich and gender | not rich side by side.
-	vizB, hypB, err := s.AddVisualization(census.ColGender, rich)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender, Filter: rich})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vizC, hypC, err := s.AddVisualization(census.ColGender, poor)
+	vizB, hypB := res.Visualization, res.Hypothesis
+	res, err = s.Apply(core.AddVisualization{Target: census.ColGender, Filter: poor})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comparison, err := s.CompareVisualizations(vizB.ID, vizC.ID)
+	vizC, hypC := res.Visualization, res.Hypothesis
+	res, err = s.Apply(core.CompareVisualizations{A: vizB.ID, B: vizC.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	comparison := res.Hypothesis
 	if comparison.Source != core.SourceRule3 {
 		t.Errorf("source = %v", comparison.Source)
 	}
@@ -157,14 +162,15 @@ func TestRule3ComparisonSupersedesRule2(t *testing.T) {
 		t.Errorf("total hypotheses = %d", len(s.Hypotheses()))
 	}
 	// Mismatched targets are rejected.
-	vizAge, _, err := s.AddVisualization(census.ColAge, nil)
+	res, err = s.Apply(core.AddVisualization{Target: census.ColAge})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CompareVisualizations(vizB.ID, vizAge.ID); !errors.Is(err, core.ErrNotComplementary) {
+	vizAge := res.Visualization
+	if _, err := s.Apply(core.CompareVisualizations{A: vizB.ID, B: vizAge.ID}); !errors.Is(err, core.ErrNotComplementary) {
 		t.Error("expected core.ErrNotComplementary")
 	}
-	if _, err := s.CompareVisualizations(99, vizB.ID); !errors.Is(err, core.ErrUnknownVisualization) {
+	if _, err := s.Apply(core.CompareVisualizations{A: 99, B: vizB.ID}); !errors.Is(err, core.ErrUnknownVisualization) {
 		t.Error("expected core.ErrUnknownVisualization")
 	}
 }
@@ -176,41 +182,47 @@ func TestFigure1WorkflowEndToEnd(t *testing.T) {
 	s := newSession(t, tab)
 
 	// Step A: gender over the whole data — descriptive.
-	_, hypA, err := s.AddVisualization(census.ColGender, nil)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender})
+	hypA := res.Hypothesis
 	if err != nil || hypA != nil {
 		t.Fatalf("step A: %v, %v", hypA, err)
 	}
 
 	// Step B: gender | salary>50k — hypothesis m1.
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	vizB, m1, err := s.AddVisualization(census.ColGender, rich)
+	res, err = s.Apply(core.AddVisualization{Target: census.ColGender, Filter: rich})
+	vizB, m1 := res.Visualization, res.Hypothesis
 	if err != nil || m1 == nil {
 		t.Fatalf("step B: %v", err)
 	}
 
 	// Step C: gender | not(salary>50k) next to B — m1' supersedes m1.
-	vizC, _, err := s.AddVisualization(census.ColGender, dataset.Not{Inner: rich})
+	res, err = s.Apply(core.AddVisualization{Target: census.ColGender, Filter: dataset.Not{Inner: rich}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1prime, err := s.CompareVisualizations(vizB.ID, vizC.ID)
+	vizC := res.Visualization
+	res, err = s.Apply(core.CompareVisualizations{A: vizB.ID, B: vizC.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m1prime := res.Hypothesis
 	if m1.Status != core.StatusSuperseded {
 		t.Error("m1 should be superseded by m1'")
 	}
 
 	// Step D: marital status | PhD — hypothesis m2.
 	phd := dataset.Equals{Column: census.ColEducation, Value: "PhD"}
-	_, m2, err := s.AddVisualization(census.ColMaritalStatus, phd)
+	res, err = s.Apply(core.AddVisualization{Target: census.ColMaritalStatus, Filter: phd})
+	m2 := res.Hypothesis
 	if err != nil || m2 == nil {
 		t.Fatalf("step D: %v", err)
 	}
 
 	// Step E: salary | PhD and never married — hypothesis m3.
 	phdSingle := dataset.And{Terms: []dataset.Predicate{phd, dataset.Equals{Column: census.ColMaritalStatus, Value: "Never-Married"}}}
-	_, m3, err := s.AddVisualization(census.ColSalaryOver50K, phdSingle)
+	res, err = s.Apply(core.AddVisualization{Target: census.ColSalaryOver50K, Filter: phdSingle})
+	m3 := res.Hypothesis
 	if err != nil || m3 == nil {
 		t.Fatalf("step E: %v", err)
 	}
@@ -219,18 +231,21 @@ func TestFigure1WorkflowEndToEnd(t *testing.T) {
 	// within the chain and overrides the default with a t-test on the mean.
 	chainRich := dataset.And{Terms: []dataset.Predicate{phdSingle, rich}}
 	chainPoor := dataset.And{Terms: []dataset.Predicate{phdSingle, dataset.Not{Inner: rich}}}
-	vizF1, m4, err := s.AddVisualization(census.ColAge, chainRich)
+	res, err = s.Apply(core.AddVisualization{Target: census.ColAge, Filter: chainRich})
+	vizF1, m4 := res.Visualization, res.Hypothesis
 	if err != nil || m4 == nil {
 		t.Fatalf("step F1: %v", err)
 	}
-	vizF2, m4b, err := s.AddVisualization(census.ColAge, chainPoor)
+	res, err = s.Apply(core.AddVisualization{Target: census.ColAge, Filter: chainPoor})
+	vizF2, m4b := res.Visualization, res.Hypothesis
 	if err != nil || m4b == nil {
 		t.Fatalf("step F2: %v", err)
 	}
-	m4prime, err := s.CompareMeans(census.ColAge, vizF1.ID, vizF2.ID)
+	res, err = s.Apply(core.CompareMeans{Attribute: census.ColAge, A: vizF1.ID, B: vizF2.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m4prime := res.Hypothesis
 	if m4.Status != core.StatusSuperseded || m4b.Status != core.StatusSuperseded {
 		t.Error("default age hypotheses should be superseded by the t-test")
 	}
@@ -239,7 +254,7 @@ func TestFigure1WorkflowEndToEnd(t *testing.T) {
 	}
 
 	// The user decides m2 and m3 were stepping stones and deletes them.
-	if err := s.DeclareDescriptive(4); err != nil { // viz 4 = marital | PhD
+	if _, err := s.Apply(core.DeclareDescriptive{Visualization: 4}); err != nil { // viz 4 = marital | PhD
 		t.Fatal(err)
 	}
 	if m2.Status != core.StatusDeleted {
@@ -282,15 +297,16 @@ func TestFigure1WorkflowEndToEnd(t *testing.T) {
 func TestDecisionsNeverChangeAcrossSessionActions(t *testing.T) {
 	s := newSession(t, testCensus(t))
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	_, first, err := s.AddVisualization(census.ColGender, rich)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender, Filter: rich})
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := res.Hypothesis
 	firstRejected := first.Rejected
 	firstP := first.Test.PValue
 	// Perform a series of further actions.
 	for _, edu := range []string{"HS", "Bachelor", "Master", "PhD"} {
-		if _, _, err := s.AddVisualization(census.ColMaritalStatus, dataset.Equals{Column: census.ColEducation, Value: edu}); err != nil {
+		if _, err := s.Apply(core.AddVisualization{Target: census.ColMaritalStatus, Filter: dataset.Equals{Column: census.ColEducation, Value: edu}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,15 +317,17 @@ func TestDecisionsNeverChangeAcrossSessionActions(t *testing.T) {
 
 func TestTestAgainstExpectation(t *testing.T) {
 	s := newSession(t, testCensus(t))
-	viz, _, err := s.AddVisualization(census.ColGender, nil)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender})
 	if err != nil {
 		t.Fatal(err)
 	}
+	viz := res.Visualization
 	// The user expected many more men than women (rule 1's escape hatch).
-	hyp, err := s.TestAgainstExpectation(viz.ID, map[string]float64{"Male": 3, "Female": 1, "Other": 0.05})
+	res, err = s.Apply(core.TestAgainstExpectation{Visualization: viz.ID, Expected: map[string]float64{"Male": 3, "Female": 1, "Other": 0.05}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hyp := res.Hypothesis
 	if hyp.Source != core.SourceUser {
 		t.Errorf("source = %v", hyp.Source)
 	}
@@ -320,7 +338,7 @@ func TestTestAgainstExpectation(t *testing.T) {
 	if !hyp.Rejected {
 		t.Errorf("expected rejection of the skewed expectation, p = %v", hyp.Test.PValue)
 	}
-	if _, err := s.TestAgainstExpectation(99, nil); !errors.Is(err, core.ErrUnknownVisualization) {
+	if _, err := s.Apply(core.TestAgainstExpectation{Visualization: 99}); !errors.Is(err, core.ErrUnknownVisualization) {
 		t.Error("expected unknown visualization error")
 	}
 }
@@ -328,11 +346,12 @@ func TestTestAgainstExpectation(t *testing.T) {
 func TestDeclareDescriptiveAndStar(t *testing.T) {
 	s := newSession(t, testCensus(t))
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	viz, hyp, err := s.AddVisualization(census.ColGender, rich)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender, Filter: rich})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Star(hyp.ID, true); err != nil {
+	viz, hyp := res.Visualization, res.Hypothesis
+	if _, err := s.Apply(core.Star{Hypothesis: hyp.ID, Starred: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ImportantDiscoveries(); len(got) != 1 || got[0].ID != hyp.ID {
@@ -341,18 +360,18 @@ func TestDeclareDescriptiveAndStar(t *testing.T) {
 	if s.Gauge().Starred != 1 {
 		t.Error("gauge starred count")
 	}
-	if err := s.Star(hyp.ID, false); err != nil {
+	if _, err := s.Apply(core.Star{Hypothesis: hyp.ID, Starred: false}); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.ImportantDiscoveries()) != 0 {
 		t.Error("unstarring should remove the important discovery")
 	}
-	if err := s.Star(99, true); !errors.Is(err, core.ErrUnknownHypothesis) {
+	if _, err := s.Apply(core.Star{Hypothesis: 99, Starred: true}); !errors.Is(err, core.ErrUnknownHypothesis) {
 		t.Error("expected unknown hypothesis error")
 	}
 
 	wealthBefore := s.Wealth()
-	if err := s.DeclareDescriptive(viz.ID); err != nil {
+	if _, err := s.Apply(core.DeclareDescriptive{Visualization: viz.ID}); err != nil {
 		t.Fatal(err)
 	}
 	if hyp.Status != core.StatusDeleted {
@@ -365,23 +384,24 @@ func TestDeclareDescriptiveAndStar(t *testing.T) {
 		t.Error("deleted hypothesis should not be active")
 	}
 	// Deleting a descriptive visualization is a no-op.
-	vizPlain, _, _ := s.AddVisualization(census.ColAge, nil)
-	if err := s.DeclareDescriptive(vizPlain.ID); err != nil {
+	res, _ = s.Apply(core.AddVisualization{Target: census.ColAge})
+	vizPlain := res.Visualization
+	if _, err := s.Apply(core.DeclareDescriptive{Visualization: vizPlain.ID}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeclareDescriptive(99); !errors.Is(err, core.ErrUnknownVisualization) {
+	if _, err := s.Apply(core.DeclareDescriptive{Visualization: 99}); !errors.Is(err, core.ErrUnknownVisualization) {
 		t.Error("expected unknown visualization error")
 	}
 }
 
 func TestAddVisualizationErrors(t *testing.T) {
 	s := newSession(t, testCensus(t))
-	if _, _, err := s.AddVisualization("missing", nil); !errors.Is(err, dataset.ErrColumnNotFound) {
+	if _, err := s.Apply(core.AddVisualization{Target: "missing"}); !errors.Is(err, dataset.ErrColumnNotFound) {
 		t.Error("expected column-not-found error")
 	}
 	// A filter selecting nothing yields a degenerate test.
 	impossible := dataset.Equals{Column: census.ColEducation, Value: "Kindergarten"}
-	if _, _, err := s.AddVisualization(census.ColGender, impossible); err == nil {
+	if _, err := s.Apply(core.AddVisualization{Target: census.ColGender, Filter: impossible}); err == nil {
 		t.Error("expected error for empty sub-population")
 	}
 }
@@ -415,7 +435,7 @@ func TestWealthExhaustionSurfacesAsStop(t *testing.T) {
 		target := targets[i%len(targets)]
 		low := 18 + float64(i%55)
 		filter := dataset.Range{Column: census.ColAge, Low: low, High: low + 10 + float64(i%7)}
-		_, _, err := s.AddVisualization(target, filter)
+		_, err := s.Apply(core.AddVisualization{Target: target, Filter: filter})
 		if errors.Is(err, core.ErrWealthExhausted) {
 			exhausted = true
 			break
@@ -435,18 +455,21 @@ func TestWealthExhaustionSurfacesAsStop(t *testing.T) {
 func TestCompareDistributionsKS(t *testing.T) {
 	s := newSession(t, testCensus(t))
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	vizA, hypA, err := s.AddVisualization(census.ColAge, rich)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColAge, Filter: rich})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vizB, hypB, err := s.AddVisualization(census.ColAge, dataset.Not{Inner: rich})
+	vizA, hypA := res.Visualization, res.Hypothesis
+	res, err = s.Apply(core.AddVisualization{Target: census.ColAge, Filter: dataset.Not{Inner: rich}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyp, err := s.CompareDistributions(census.ColAge, vizA.ID, vizB.ID)
+	vizB, hypB := res.Visualization, res.Hypothesis
+	res, err = s.Apply(core.CompareDistributions{Attribute: census.ColAge, A: vizA.ID, B: vizB.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hyp := res.Hypothesis
 	if hyp.Test.Method != "two-sample Kolmogorov-Smirnov test" {
 		t.Errorf("method = %q", hyp.Test.Method)
 	}
@@ -458,10 +481,10 @@ func TestCompareDistributionsKS(t *testing.T) {
 	if !hyp.Rejected {
 		t.Errorf("expected discovery, p = %v alpha = %v", hyp.Test.PValue, hyp.AlphaInvested)
 	}
-	if _, err := s.CompareDistributions(census.ColGender, vizA.ID, vizB.ID); err == nil {
+	if _, err := s.Apply(core.CompareDistributions{Attribute: census.ColGender, A: vizA.ID, B: vizB.ID}); err == nil {
 		t.Error("categorical attribute should error")
 	}
-	if _, err := s.CompareDistributions(census.ColAge, 99, vizB.ID); !errors.Is(err, core.ErrUnknownVisualization) {
+	if _, err := s.Apply(core.CompareDistributions{Attribute: census.ColAge, A: 99, B: vizB.ID}); !errors.Is(err, core.ErrUnknownVisualization) {
 		t.Error("expected unknown visualization error")
 	}
 }
@@ -469,10 +492,11 @@ func TestCompareDistributionsKS(t *testing.T) {
 func TestDataMultiplierAnnotation(t *testing.T) {
 	s := newSession(t, testCensus(t))
 	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
-	_, hyp, err := s.AddVisualization(census.ColGender, rich)
+	res, err := s.Apply(core.AddVisualization{Target: census.ColGender, Filter: rich})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hyp := res.Hypothesis
 	if math.IsNaN(hyp.DataMultiplier) || hyp.DataMultiplier <= 0 {
 		t.Errorf("DataMultiplier = %v", hyp.DataMultiplier)
 	}

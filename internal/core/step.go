@@ -24,58 +24,82 @@ type Step interface {
 }
 
 // AddVisualization creates a chart for Target restricted by Filter (nil for
-// the whole dataset). A filtered chart triggers heuristic rule 2's default
-// hypothesis; an unfiltered one is descriptive.
+// the whole dataset) and applies the default hypothesis heuristics:
+//
+//   - Rule 1: an unfiltered visualization is descriptive — no hypothesis is
+//     created (StepResult.Hypothesis is nil). The user can attach one later
+//     with TestAgainstExpectation.
+//   - Rule 2: a filtered visualization creates the default hypothesis that the
+//     filter makes no difference compared to the distribution of the target
+//     over the whole dataset, tested with a χ² goodness-of-fit test.
 type AddVisualization struct {
 	Target string
 	Filter dataset.Predicate
 }
 
-// CompareVisualizations places visualizations A and B side by side (heuristic
-// rule 3): the default hypothesis becomes "the two distributions do not
-// differ", superseding the rule-2 hypotheses attached to either chart.
+// CompareVisualizations applies heuristic rule 3: visualizations A and B show
+// the same target attribute under complementary (or simply different) filter
+// chains, and the user placed them next to each other, so the default
+// hypothesis becomes "the two visualized distributions do not differ", tested
+// with a χ² independence test. Any rule-2 hypotheses previously attached to
+// the two visualizations are superseded.
 type CompareVisualizations struct {
 	A, B int
 }
 
-// CompareMeans overrides the default comparison of visualizations A and B
-// with a Welch t-test on the means of the numeric Attribute.
+// CompareMeans overrides the default distribution comparison of
+// visualizations A and B with a Welch t-test on the means of the numeric
+// Attribute between the two filtered sub-populations — the explicit test of
+// Figure 1 (F) where the user drags two age charts together and the default
+// hypothesis m4 is replaced by m4' about the average age. Hypotheses
+// previously attached to the two visualizations are superseded.
 type CompareMeans struct {
 	Attribute string
 	A, B      int
 }
 
 // CompareDistributions overrides the default comparison of visualizations A
-// and B with a two-sample Kolmogorov–Smirnov test on the numeric Attribute.
+// and B with a two-sample Kolmogorov–Smirnov test on the numeric Attribute —
+// useful when the analyst cares about the whole shape of the distribution
+// rather than its mean, or when the attribute is too skewed for a t-test.
+// Hypotheses previously attached to the two visualizations are superseded,
+// exactly as in CompareMeans.
 type CompareDistributions struct {
 	Attribute string
 	A, B      int
 }
 
 // TestAgainstExpectation attaches a user-defined hypothesis to the identified
-// visualization: the observed distribution is tested against the Expected
-// relative weights per category (rule 1's escape hatch).
+// unfiltered visualization (rule 1's escape hatch): the user states the
+// proportions they expected for the target's categories, and the observed
+// distribution is tested against that expectation with a χ² goodness-of-fit
+// test. Expected gives relative weights per category; missing categories
+// count as weight zero.
 type TestAgainstExpectation struct {
 	Visualization int
 	Expected      map[string]float64
 }
 
 // DeclareDescriptive marks the hypothesis attached to the identified
-// visualization as deleted: the chart was purely descriptive after all.
+// visualization as deleted: the user states that the chart was purely
+// descriptive (or only a stepping stone, Section 2.4). The α-wealth already
+// spent on it is not refunded — refunding would break the mFDR guarantee —
+// but the hypothesis no longer appears among the session's findings.
 type DeclareDescriptive struct {
 	Visualization int
 }
 
-// Star marks (or unmarks) a hypothesis as an important discovery.
+// Star marks (or unmarks) a hypothesis as an important discovery (Figure 2 E).
 type Star struct {
 	Hypothesis int
 	Starred    bool
 }
 
 // DeriveColumn extends the session's table with a computed numeric column
-// (arithmetic and bucketing over existing numeric columns, see dataset.Expr).
-// The row set is unchanged, so existing visualizations and hypotheses stay
-// valid; subsequent steps can filter, group and test on the derived column.
+// (arithmetic and bucketing over existing numeric columns, see dataset.Expr)
+// and continues the session over the extended table. The row set is
+// unchanged, so existing visualizations and hypotheses stay valid;
+// subsequent steps can filter, group and test on the derived column.
 type DeriveColumn struct {
 	Name string
 	Expr dataset.Expr
@@ -94,8 +118,10 @@ type JoinDataset struct {
 
 // GroupByHypothesis tests the independence of two attributes over the rows
 // matching Filter (nil for the whole table) with a χ² test on their
-// contingency table, routed through the α-investing procedure like every
-// other hypothesis. Numeric attributes are cut into equal-width bins.
+// contingency table — the group-by generalization of the rule-2/rule-3
+// defaults to arbitrary column pairs — routed through the α-investing
+// procedure like every other hypothesis. Numeric attributes are cut into
+// equal-width bins.
 type GroupByHypothesis struct {
 	RowAttr string
 	ColAttr string
@@ -247,7 +273,7 @@ func (s *Session) dispatch(step Step) (StepResult, error) {
 }
 
 // Log returns the session's append-only journal: every successfully applied
-// step in order, whether it arrived through Apply or a legacy method.
+// step in order.
 func (s *Session) Log() []AppliedStep {
 	out := make([]AppliedStep, len(s.journal))
 	copy(out, s.journal)

@@ -82,75 +82,24 @@ func scriptedSteps() []Step {
 	}
 }
 
-// TestApplyMatchesLegacyMethods drives one session through the legacy mutating
-// methods and a second through the identical actions as Steps, and requires
-// byte-identical Report JSON (the tentpole's equivalence guarantee).
-func TestApplyMatchesLegacyMethods(t *testing.T) {
+// TestApplyScriptReplaysAndJournals drives a session through every step kind
+// with Apply, requires a Replay of its journal to render a byte-identical
+// Report, and checks that the journal numbers the steps 1..n in order, each
+// entry surviving a MarshalStep round trip.
+func TestApplyScriptReplaysAndJournals(t *testing.T) {
 	tab := stepTestTable(t)
-
-	legacy := mustSession(t, tab)
-	groupB := dataset.Equals{Column: "group", Value: "b"}
-	groupA := dataset.Equals{Column: "group", Value: "a"}
-	if _, _, err := legacy.AddVisualization("color", groupB); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("color", dataset.Not{Inner: groupB}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.CompareVisualizations(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("x", groupB); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("x", groupA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.CompareMeans("x", 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.CompareDistributions("x", 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("color", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.TestAgainstExpectation(5, map[string]float64{"red": 3, "blue": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Star(1, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.AddVisualization("color", groupA); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.DeclareDescriptive(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Star(1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Star(2, true); err != nil {
-		t.Fatal(err)
-	}
-
+	script := scriptedSteps()
 	stepped := mustSession(t, tab)
-	for i, step := range scriptedSteps() {
+	for i, step := range script {
 		if _, err := stepped.Apply(step); err != nil {
 			t.Fatalf("step %d (%s): %v", i+1, step.Kind(), err)
 		}
 	}
 
 	now := time.Unix(1700000000, 0)
-	var legacyJSON, steppedJSON strings.Builder
-	if err := legacy.Report(now).WriteJSON(&legacyJSON); err != nil {
-		t.Fatal(err)
-	}
+	var steppedJSON strings.Builder
 	if err := stepped.Report(now).WriteJSON(&steppedJSON); err != nil {
 		t.Fatal(err)
-	}
-	if legacyJSON.String() != steppedJSON.String() {
-		t.Errorf("legacy and stepped reports differ:\nlegacy:  %s\nstepped: %s", legacyJSON.String(), steppedJSON.String())
 	}
 
 	// Replay of the stepped session's own log must reproduce it byte for byte.
@@ -166,26 +115,35 @@ func TestApplyMatchesLegacyMethods(t *testing.T) {
 		t.Error("replayed report differs from the original")
 	}
 
-	// Both sessions journal identically: the legacy wrappers funnel through
-	// Apply.
-	legacyLog, steppedLog := legacy.Log(), stepped.Log()
-	if len(legacyLog) != len(steppedLog) {
-		t.Fatalf("journal lengths differ: %d vs %d", len(legacyLog), len(steppedLog))
+	journal := stepped.Log()
+	if len(journal) != len(script) {
+		t.Fatalf("journal has %d entries, want %d", len(journal), len(script))
 	}
-	for i := range legacyLog {
-		a, err := MarshalStep(legacyLog[i].Step)
+	for i, entry := range journal {
+		if entry.Seq != i+1 {
+			t.Errorf("entry %d has seq %d", i+1, entry.Seq)
+		}
+		want, err := MarshalStep(script[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := MarshalStep(steppedLog[i].Step)
+		got, err := MarshalStep(entry.Step)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(a) != string(b) {
-			t.Errorf("journal entry %d differs: %s vs %s", i+1, a, b)
+		if string(got) != string(want) {
+			t.Errorf("journal entry %d is %s, want %s", i+1, got, want)
 		}
-		if legacyLog[i].Seq != i+1 || steppedLog[i].Seq != i+1 {
-			t.Errorf("entry %d has wrong seq", i+1)
+		decoded, err := UnmarshalStep(got)
+		if err != nil {
+			t.Fatalf("entry %d: %v", i+1, err)
+		}
+		again, err := MarshalStep(decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(got) {
+			t.Errorf("entry %d does not round-trip: %s vs %s", i+1, again, got)
 		}
 	}
 }
@@ -225,7 +183,7 @@ func TestApplyUnknownAndMalformedSteps(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := mustSession(t, tab)
-			if _, _, err := s.AddVisualization("color", dataset.Equals{Column: "group", Value: "b"}); err != nil {
+			if _, err := s.Apply(AddVisualization{Target: "color", Filter: dataset.Equals{Column: "group", Value: "b"}}); err != nil {
 				t.Fatal(err)
 			}
 			wealthBefore := s.Wealth()
@@ -261,10 +219,11 @@ func TestApplyAtomicOnDegenerateFilter(t *testing.T) {
 		t.Fatalf("failed step left state behind: %d viz, %d hyp, %d log entries",
 			len(s.Visualizations()), len(s.Hypotheses()), len(s.Log()))
 	}
-	viz, _, err := s.AddVisualization("color", dataset.Equals{Column: "group", Value: "b"})
+	res, err := s.Apply(AddVisualization{Target: "color", Filter: dataset.Equals{Column: "group", Value: "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	viz := res.Visualization
 	if viz.ID != 1 {
 		t.Errorf("first successful visualization got ID %d, want 1", viz.ID)
 	}

@@ -243,7 +243,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("dataset registered", "name", name, "rows", table.NumRows(), "columns", table.NumColumns())
-	writeJSON(w, http.StatusCreated, DatasetInfo{Name: name, Rows: table.NumRows(), Columns: table.ColumnNames()})
+	writeJSON(w, http.StatusCreated, describeDataset(name, table))
 }
 
 // --- session lifecycle ---

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -304,6 +305,10 @@ func TestDatasetUploadAndSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStatus(t, resp, http.StatusCreated)
+	var created DatasetInfo
+	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
 
 	// Re-registering the same name conflicts.
@@ -328,6 +333,19 @@ func TestDatasetUploadAndSession(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &listing)
 	if len(listing.Datasets) != 2 {
 		t.Fatalf("dataset listing has %d entries, want 2 (census + weather)", len(listing.Datasets))
+	}
+	// The upload answers with the same description the listing gives.
+	var listed *DatasetInfo
+	for i := range listing.Datasets {
+		if listing.Datasets[i].Name == "weather" {
+			listed = &listing.Datasets[i]
+		}
+	}
+	if listed == nil {
+		t.Fatal("dataset listing has no weather entry")
+	}
+	if !reflect.DeepEqual(created, *listed) {
+		t.Errorf("upload answered %+v, listing has %+v", created, *listed)
 	}
 
 	// Explore the uploaded dataset.
