@@ -14,6 +14,7 @@ func TestRunSmallExperiments(t *testing.T) {
 		{"1b", func() error { return run("1b", 5, 1, 1.0, 0, 0, false, "", 0, 0, 0, "", "") }},
 		{"1c", func() error { return run("1c", 5, 1, 0.25, 0, 0, false, "", 0, 0, 0, "", "") }},
 		{"holdout", func() error { return run("holdout", 20, 1, -1, 0, 0, false, "", 0, 0, 0, "", "") }},
+		{"replay", func() error { return run("replay", 0, 1, -1, 2000, 15, false, "", 0, 0, 0, "", "") }},
 		{"subsets", func() error { return run("subsets", 20, 1, -1, 0, 0, false, "", 0, 0, 0, "", "") }},
 		{"2", func() error { return run("2", 2, 1, -1, 2000, 15, false, "", 0, 0, 0, "", "") }},
 		{"2-randomized", func() error { return run("2", 2, 1, -1, 2000, 15, true, "", 0, 0, 0, "", "") }},

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"aware/internal/dataset"
 	"aware/internal/obs"
@@ -31,15 +32,23 @@ type HoldoutResult struct {
 // each half and comparing the resulting hypothesis streams. It exists so the
 // hold-out experiment and bench can quantify the power loss relative to
 // testing on the full data.
+//
+// The split is two complementary row bitmaps over the shared table
+// (Table.SplitRows), not two copied tables: CompareMeans intersects the
+// filter with each half and never materializes a half. Only ReplayLog, which
+// needs a Session per half, materializes the halves — once, in row order.
 type HoldoutValidator struct {
+	data *dataset.Table
+	// sel compiles each distinct filter once over the full table; both
+	// halves intersect the same cached bitmap.
+	sel         *dataset.SelectionCache
+	explRows    *dataset.Selection
+	validRows   *dataset.Selection
+	alpha       float64
+	tablesOnce  sync.Once
 	exploration *dataset.Table
 	validation  *dataset.Table
-	// Per-half filter-bitmap caches: a replayed log applies the same filter
-	// chains over and over (and CompareMeans both a filter and its
-	// complement), so each half compiles every distinct predicate once.
-	explorationSel *dataset.SelectionCache
-	validationSel  *dataset.SelectionCache
-	alpha          float64
+	tablesErr   error
 }
 
 // NewHoldoutValidator splits data into an exploration fraction and a
@@ -48,24 +57,50 @@ func NewHoldoutValidator(data *dataset.Table, explorationFraction, alpha float64
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("core: holdout alpha must be in (0, 1), got %v", alpha)
 	}
-	explore, validate, err := data.Split(rng, explorationFraction)
+	rows, err := data.SplitRows(rng, explorationFraction)
 	if err != nil {
 		return nil, err
 	}
 	return &HoldoutValidator{
-		exploration:    explore,
-		validation:     validate,
-		explorationSel: dataset.NewSelectionCache(explore),
-		validationSel:  dataset.NewSelectionCache(validate),
-		alpha:          alpha,
+		data:      data,
+		sel:       dataset.NewSelectionCache(data),
+		explRows:  rows,
+		validRows: rows.Not(),
+		alpha:     alpha,
 	}, nil
 }
 
-// Exploration returns the exploration half.
-func (h *HoldoutValidator) Exploration() *dataset.Table { return h.exploration }
+// Rows returns the exploration and validation halves as complementary row
+// bitmaps over the validator's table.
+func (h *HoldoutValidator) Rows() (exploration, validation *dataset.Selection) {
+	return h.explRows, h.validRows
+}
 
-// Validation returns the hold-out half.
-func (h *HoldoutValidator) Validation() *dataset.Table { return h.validation }
+// Exploration returns the exploration half as a table (its rows in table
+// order), materializing both halves on first use.
+func (h *HoldoutValidator) Exploration() *dataset.Table {
+	_ = h.materialize() // on a failure (a bug) the table is nil
+	return h.exploration
+}
+
+// Validation returns the hold-out half as a table (its rows in table order),
+// materializing both halves on first use.
+func (h *HoldoutValidator) Validation() *dataset.Table {
+	_ = h.materialize() // on a failure (a bug) the table is nil
+	return h.validation
+}
+
+// materialize copies the two halves out of the shared table once. The rows
+// come from the table itself, so the copy cannot fail short of a bug; an
+// error is kept for ReplayLog to report and leaves the failed half nil.
+func (h *HoldoutValidator) materialize() error {
+	h.tablesOnce.Do(func() {
+		if h.exploration, h.tablesErr = h.data.Select(h.explRows.Indices()); h.tablesErr == nil {
+			h.validation, h.tablesErr = h.data.Select(h.validRows.Indices())
+		}
+	})
+	return h.tablesErr
+}
 
 // CompareMeans tests whether the mean of numericAttr differs between the
 // filtered sub-population and its complement, independently on the
@@ -78,38 +113,38 @@ func (h *HoldoutValidator) CompareMeans(numericAttr string, filter dataset.Predi
 // CompareMeansSpan is CompareMeans with one step-depth span per holdout half
 // recorded under parent (nil parent: identical to CompareMeans), so a traced
 // validation request attributes its time to the exploration and validation
-// replays separately, down to their kernels.
+// halves separately, down to their kernels.
+//
+// The filter compiles once over the full table. Each half then tests
+// filter ∧ half against ¬filter ∧ half, reading the attribute's values in row
+// order straight from the shared columns — the same values, in the same
+// order, as the filtered rows of a materialized half.
 func (h *HoldoutValidator) CompareMeansSpan(numericAttr string, filter dataset.Predicate, alt stats.Alternative, parent *obs.Span) (HoldoutResult, error) {
-	run := func(sel *dataset.SelectionCache, half string) (stats.TestResult, error) {
+	in, err := h.sel.WhereSpan(filter, parent)
+	if err != nil {
+		return HoldoutResult{}, fmt.Errorf("core: holdout filter: %w", err)
+	}
+	out := in.Not()
+	run := func(rows *dataset.Selection, half string) (stats.TestResult, error) {
 		span := parent.Child(obs.KindStep, "holdout.compare_means")
 		defer span.End()
 		span.Set("half", half)
-		span.Set("rows", sel.Table().NumRows())
-		in, err := sel.ViewSpan(filter, span)
+		span.Set("rows", rows.Count())
+		xs, err := h.floats(in.And(rows), numericAttr, span)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
-		// The complement is a bitmap flip of the cached filter selection; no
-		// second scan, no materialized sub-table.
-		out, err := dataset.NewView(sel.Table(), in.Selection().Not())
-		if err != nil {
-			return stats.TestResult{}, err
-		}
-		xs, err := in.FloatsSpan(numericAttr, span)
-		if err != nil {
-			return stats.TestResult{}, err
-		}
-		ys, err := out.FloatsSpan(numericAttr, span)
+		ys, err := h.floats(out.And(rows), numericAttr, span)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
 		return stats.WelchTTest(xs, ys, alt)
 	}
-	explorationRes, err := run(h.explorationSel, "exploration")
+	explorationRes, err := run(h.explRows, "exploration")
 	if err != nil {
 		return HoldoutResult{}, fmt.Errorf("core: holdout exploration test: %w", err)
 	}
-	validationRes, err := run(h.validationSel, "validation")
+	validationRes, err := run(h.validRows, "validation")
 	if err != nil {
 		return HoldoutResult{}, fmt.Errorf("core: holdout validation test: %w", err)
 	}
@@ -119,6 +154,15 @@ func (h *HoldoutValidator) CompareMeansSpan(numericAttr string, filter dataset.P
 		Confirmed:   explorationRes.PValue <= h.alpha && validationRes.PValue <= h.alpha,
 		Alpha:       h.alpha,
 	}, nil
+}
+
+// floats reads the attribute at the selected rows of the validator's table.
+func (h *HoldoutValidator) floats(rows *dataset.Selection, attr string, span *obs.Span) ([]float64, error) {
+	v, err := dataset.NewView(h.data, rows)
+	if err != nil {
+		return nil, err
+	}
+	return v.FloatsSpan(attr, span)
 }
 
 // HypothesisValidation is the hold-out verdict on one hypothesis of a
@@ -199,18 +243,17 @@ func (h *HoldoutValidator) ReplayLog(opts Options, steps []Step) (ReplayValidati
 // so a traced holdout request explains exactly where a long replay spent its
 // time and on which half.
 func (h *HoldoutValidator) ReplayLogSpan(opts Options, steps []Step, parent *obs.Span) (ReplayValidation, error) {
-	replayPrefix := func(data *dataset.Table, sel *dataset.SelectionCache, limit int, half string) (*Session, int, error) {
+	replayPrefix := func(data *dataset.Table, limit int, half string) (*Session, int, error) {
 		span := parent.Child(obs.KindStep, "holdout.replay")
 		defer span.End()
 		span.Set("half", half)
 		span.Set("rows", data.NumRows())
 		span.Set("steps", limit)
-		// Each half replays against its own filter-bitmap cache (any caller
-		// cache in opts is bound to the full table, not the halves), so the
-		// N-step replay compiles each distinct filter once instead of
-		// materializing N sub-tables.
+		// Any caller cache in opts is bound to the full table, not the
+		// halves: each half session gets its own private cache, so the
+		// N-step replay compiles each distinct filter once.
 		opts := opts
-		opts.Selections = sel
+		opts.Selections = nil
 		sess, err := NewSession(data, opts)
 		if err != nil {
 			return nil, 0, err
@@ -225,11 +268,14 @@ func (h *HoldoutValidator) ReplayLogSpan(opts Options, steps []Step, parent *obs
 		span.Set("applied", applied)
 		return sess, applied, nil
 	}
-	exploration, explApplied, err := replayPrefix(h.exploration, h.explorationSel, len(steps), "exploration")
+	if err := h.materialize(); err != nil {
+		return ReplayValidation{}, fmt.Errorf("core: holdout halves: %w", err)
+	}
+	exploration, explApplied, err := replayPrefix(h.exploration, len(steps), "exploration")
 	if err != nil {
 		return ReplayValidation{}, err
 	}
-	validation, validApplied, err := replayPrefix(h.validation, h.validationSel, explApplied, "validation")
+	validation, validApplied, err := replayPrefix(h.validation, explApplied, "validation")
 	if err != nil {
 		return ReplayValidation{}, err
 	}

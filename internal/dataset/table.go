@@ -19,8 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -477,69 +477,80 @@ func (t *Table) Strings(name string) ([]string, error) {
 // Categories returns the sorted distinct values of a categorical or bool
 // column. Categorical columns answer from their dictionary (codes present in
 // the column, in dictionary order — the dictionary is sorted, so no extra
-// sort is needed); bool columns scan their two-valued payload.
+// sort is needed); bool columns scan their payload only until both values
+// have been seen.
 func (t *Table) Categories(name string) ([]string, error) {
-	c, err := t.Column(name)
+	c, err := t.categoricalColumn(name)
 	if err != nil {
 		return nil, err
 	}
-	if c.Type == Categorical {
-		present := make([]bool, len(c.dict))
-		for _, code := range c.codes {
-			present[code] = true
+	if c.Type == Bool {
+		var seen [2]bool
+		for _, b := range c.bools {
+			if b {
+				seen[1] = true
+			} else {
+				seen[0] = true
+			}
+			if seen[0] && seen[1] {
+				break
+			}
 		}
 		var cats []string
-		for code, ok := range present {
-			if ok {
-				cats = append(cats, c.dict[code])
-			}
+		if seen[0] {
+			cats = append(cats, "false")
+		}
+		if seen[1] {
+			cats = append(cats, "true")
 		}
 		return cats, nil
 	}
-	vals, err := t.Strings(name)
-	if err != nil {
-		return nil, err
+	present := make([]bool, len(c.dict))
+	for _, code := range c.codes {
+		present[code] = true
 	}
-	seen := make(map[string]bool)
 	var cats []string
-	for _, v := range vals {
-		if !seen[v] {
-			seen[v] = true
-			cats = append(cats, v)
+	for code, ok := range present {
+		if ok {
+			cats = append(cats, c.dict[code])
 		}
 	}
-	sort.Strings(cats)
 	return cats, nil
 }
 
 // ValueCounts returns the count of each distinct value of a categorical or
 // bool column, keyed by value. Categorical columns count codes (one array
-// index per row) instead of hashing strings.
+// index per row) and bool columns count their true rows, instead of hashing
+// strings.
 func (t *Table) ValueCounts(name string) (map[string]int, error) {
-	c, err := t.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	if c.Type == Categorical {
-		byCode := make([]int, len(c.dict))
-		for _, code := range c.codes {
-			byCode[code]++
-		}
-		counts := make(map[string]int)
-		for code, n := range byCode {
-			if n > 0 {
-				counts[c.dict[code]] = n
-			}
-		}
-		return counts, nil
-	}
-	vals, err := t.Strings(name)
+	c, err := t.categoricalColumn(name)
 	if err != nil {
 		return nil, err
 	}
 	counts := make(map[string]int)
-	for _, v := range vals {
-		counts[v]++
+	if c.Type == Bool {
+		trues := 0
+		for _, b := range c.bools {
+			if b {
+				trues++
+			}
+		}
+		if falses := len(c.bools) - trues; falses > 0 {
+			counts["false"] = falses
+		}
+		if trues > 0 {
+			counts["true"] = trues
+		}
+		return counts, nil
+	}
+	byCode := make([]int, len(c.dict))
+	for _, code := range c.codes {
+		byCode[code]++
+	}
+	for code, n := range byCode {
+		if n > 0 {
+			counts[c.dict[code]] = n
+		}
 	}
 	return counts, nil
 }
@@ -621,33 +632,91 @@ func (t *Table) Sample(rng *rand.Rand, fraction float64) (*Table, error) {
 	return t.Select(perm[:n])
 }
 
-// Split partitions the rows into an exploration set with the given fraction of
-// the rows and a validation (hold-out) set with the remainder, as in the
-// hold-out discussion of Section 4.1.
-func (t *Table) Split(rng *rand.Rand, explorationFraction float64) (exploration, validation *Table, err error) {
+// splitBits is the binary precision of the Bernoulli start in SplitRows.
+const splitBits = 8
+
+// SplitRows draws the exploration rows of a hold-out split (Section 4.1) as
+// a bitmap over the table: exactly cut = round(fraction·n) rows, clamped to
+// [1, n−1], uniform over all cut-subsets and deterministic per rng. The
+// validation rows are the complement (Not). No table is copied: a split
+// costs one bit per row.
+//
+// The draw is word-at-a-time. Each row starts in the set independently with
+// probability p, fraction rounded to splitBits binary digits towards ½ — one
+// word of Bernoulli(p) bits takes one rng.Uint64 per binary digit of p,
+// AND-ing for a 0 and OR-ing for a 1 from the lowest digit up. Uniformly
+// random rows are then removed from or added to the set, by rejection, until
+// it holds exactly cut rows. The start is exchangeable and the fix-up is
+// uniform, so the result is a uniform cut-subset; rounding p towards ½
+// makes the fix-up mostly draw from the larger side, where rejection is
+// cheap.
+func (t *Table) SplitRows(rng *rand.Rand, explorationFraction float64) (*Selection, error) {
 	if rng == nil {
-		return nil, nil, errors.New("dataset: Split requires a random source")
+		return nil, errors.New("dataset: Split requires a random source")
 	}
 	if explorationFraction <= 0 || explorationFraction >= 1 || math.IsNaN(explorationFraction) {
-		return nil, nil, fmt.Errorf("dataset: exploration fraction must be in (0, 1), got %v", explorationFraction)
+		return nil, fmt.Errorf("dataset: exploration fraction must be in (0, 1), got %v", explorationFraction)
 	}
-	if t.rows < 2 {
-		return nil, nil, ErrEmptyTable
+	n := t.rows
+	if n < 2 {
+		return nil, ErrEmptyTable
 	}
-	perm := rng.Perm(t.rows)
-	cut := int(math.Round(explorationFraction * float64(t.rows)))
-	if cut < 1 {
-		cut = 1
+	cut := min(max(int(math.Round(explorationFraction*float64(n))), 1), n-1)
+
+	sel := t.stamp(newSelection(n))
+	scaled := explorationFraction * (1 << splitBits)
+	q := uint64(math.Floor(scaled))
+	if explorationFraction > 0.5 {
+		q = uint64(math.Ceil(scaled))
 	}
-	if cut >= t.rows {
-		cut = t.rows - 1
+	if q == 1<<splitBits {
+		for i := range sel.words {
+			sel.words[i] = ^uint64(0)
+		}
+	} else if q != 0 {
+		for i := range sel.words {
+			var w uint64
+			for b := bits.TrailingZeros64(q); b < splitBits; b++ {
+				if q&(1<<b) != 0 {
+					w |= rng.Uint64()
+				} else {
+					w &= rng.Uint64()
+				}
+			}
+			sel.words[i] = w
+		}
 	}
-	exploration, err = t.Select(perm[:cut])
+	sel.maskTail()
+	sel.recount()
+	for sel.count > cut {
+		if i := rng.Intn(n); sel.Contains(i) {
+			sel.words[i/64] &^= uint64(1) << (i % 64)
+			sel.count--
+		}
+	}
+	for sel.count < cut {
+		if i := rng.Intn(n); !sel.Contains(i) {
+			sel.setBit(i)
+			sel.count++
+		}
+	}
+	return sel, nil
+}
+
+// Split partitions the rows into an exploration set with the given fraction of
+// the rows and a validation (hold-out) set with the remainder, as in the
+// hold-out discussion of Section 4.1. It materializes the two halves of
+// SplitRows, each in row order; callers that only test selections should use
+// SplitRows and avoid the copies.
+func (t *Table) Split(rng *rand.Rand, explorationFraction float64) (exploration, validation *Table, err error) {
+	rows, err := t.SplitRows(rng, explorationFraction)
 	if err != nil {
 		return nil, nil, err
 	}
-	validation, err = t.Select(perm[cut:])
-	if err != nil {
+	if exploration, err = t.Select(rows.Indices()); err != nil {
+		return nil, nil, err
+	}
+	if validation, err = t.Select(rows.Not().Indices()); err != nil {
 		return nil, nil, err
 	}
 	return exploration, validation, nil

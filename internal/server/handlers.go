@@ -507,27 +507,15 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = 1
 	}
-	var resp holdoutResponse
+	// Copy the dataset and alpha under the lock, then validate outside it:
+	// tables are immutable, so the split and both tests never block the live
+	// session.
+	var data *dataset.Table
+	alpha := req.Alpha
 	err = s.manager.With(id, func(sess *core.Session) error {
-		alpha := req.Alpha
+		data = sess.Data()
 		if alpha == 0 {
 			alpha = sess.Alpha()
-		}
-		validator, err := core.NewHoldoutValidator(sess.Data(), fraction, alpha, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return err
-		}
-		result, err := validator.CompareMeansSpan(req.Attribute, pred, alt, obs.SpanFromContext(r.Context()))
-		if err != nil {
-			return err
-		}
-		resp = holdoutResponse{
-			Confirmed:       result.Confirmed,
-			Alpha:           result.Alpha,
-			ExplorationRows: validator.Exploration().NumRows(),
-			ValidationRows:  validator.Validation().NumRows(),
-			Exploration:     toTestResultJSON(result.Exploration),
-			Validation:      toTestResultJSON(result.Validation),
 		}
 		return nil
 	})
@@ -535,7 +523,25 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	validator, err := core.NewHoldoutValidator(data, fraction, alpha, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	result, err := validator.CompareMeansSpan(req.Attribute, pred, alt, obs.SpanFromContext(r.Context()))
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	explRows, validRows := validator.Rows()
+	writeJSON(w, http.StatusOK, holdoutResponse{
+		Confirmed:       result.Confirmed,
+		Alpha:           result.Alpha,
+		ExplorationRows: explRows.Count(),
+		ValidationRows:  validRows.Count(),
+		Exploration:     toTestResultJSON(result.Exploration),
+		Validation:      toTestResultJSON(result.Validation),
+	})
 }
 
 // handleHoldoutReplay re-validates the session's whole step log on a fresh
@@ -605,10 +611,11 @@ func (s *Server) handleHoldoutReplay(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	explRows, validRows := validator.Rows()
 	resp := holdoutReplayResponse{
 		Alpha:           replay.Alpha,
-		ExplorationRows: validator.Exploration().NumRows(),
-		ValidationRows:  validator.Validation().NumRows(),
+		ExplorationRows: explRows.Count(),
+		ValidationRows:  validRows.Count(),
 		StepsReplayed:   len(steps),
 		Confirmed:       replay.Confirmed,
 		ActiveTotal:     replay.ActiveTotal,
