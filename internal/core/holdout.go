@@ -52,18 +52,28 @@ type HoldoutValidator struct {
 }
 
 // NewHoldoutValidator splits data into an exploration fraction and a
-// validation remainder using rng.
+// validation remainder using rng. Filters compile through a fresh selection
+// cache; NewHoldoutValidatorOn reuses an existing one.
 func NewHoldoutValidator(data *dataset.Table, explorationFraction, alpha float64, rng *rand.Rand) (*HoldoutValidator, error) {
+	return NewHoldoutValidatorOn(dataset.NewSelectionCache(data), explorationFraction, alpha, rng)
+}
+
+// NewHoldoutValidatorOn is NewHoldoutValidator over the table of sel, with
+// filters resolved through sel — typically the cache of the session being
+// validated, so a filter the session has already charted is not compiled
+// again. Selections are immutable, so the answers are those of a fresh cache.
+func NewHoldoutValidatorOn(sel *dataset.SelectionCache, explorationFraction, alpha float64, rng *rand.Rand) (*HoldoutValidator, error) {
 	if alpha <= 0 || alpha >= 1 {
 		return nil, fmt.Errorf("core: holdout alpha must be in (0, 1), got %v", alpha)
 	}
+	data := sel.Table()
 	rows, err := data.SplitRows(rng, explorationFraction)
 	if err != nil {
 		return nil, err
 	}
 	return &HoldoutValidator{
 		data:      data,
-		sel:       dataset.NewSelectionCache(data),
+		sel:       sel,
 		explRows:  rows,
 		validRows: rows.Not(),
 		alpha:     alpha,

@@ -87,6 +87,60 @@ func TestHoldoutCompareMeansMatchesMaterializedHalves(t *testing.T) {
 	}
 }
 
+// TestHoldoutOnSessionCacheMatchesFresh: a validator built on a session's
+// selection cache answers exactly as one over a fresh cache, and a filter the
+// session has already charted is served from the cache instead of compiled.
+func TestHoldoutOnSessionCacheMatchesFresh(t *testing.T) {
+	tab, err := census.Generate(census.Config{Rows: 5000, Seed: 5, SignalStrength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rich := dataset.Equals{Column: census.ColSalaryOver50K, Value: "true"}
+	sess, err := core.NewSession(tab, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Apply(core.AddVisualization{Target: census.ColGender, Filter: rich}); err != nil {
+		t.Fatal(err)
+	}
+	cache := sess.Selections()
+	if cache.Table() != sess.Data() {
+		t.Fatal("the session's selection cache compiles against another table")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		fresh, err := core.NewHoldoutValidator(tab, 0.5, 0.05, stats.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.CompareMeans(census.ColAge, rich, stats.TwoSided)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hitsBefore, _, missesBefore := cache.Stats()
+		reused, err := core.NewHoldoutValidatorOn(cache, 0.5, 0.05, stats.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reused.CompareMeans(census.ColAge, rich, stats.TwoSided)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, _, misses := cache.Stats(); hits == hitsBefore || misses != missesBefore {
+			t.Errorf("seed %d: the charted filter was not served from the session's cache (hits %d -> %d, misses %d -> %d)",
+				seed, hitsBefore, hits, missesBefore, misses)
+		}
+		for _, pair := range [][2]stats.TestResult{{got.Exploration, want.Exploration}, {got.Validation, want.Validation}} {
+			if math.Float64bits(pair[0].PValue) != math.Float64bits(pair[1].PValue) ||
+				math.Float64bits(pair[0].Statistic) != math.Float64bits(pair[1].Statistic) {
+				t.Errorf("seed %d: session-cache validator %v, fresh %v", seed, pair[0], pair[1])
+			}
+		}
+		if got.Confirmed != want.Confirmed {
+			t.Errorf("seed %d: confirmed %v, fresh %v", seed, got.Confirmed, want.Confirmed)
+		}
+	}
+}
+
 // holdoutBenchTable is the 30k-row census the holdout benchmarks split.
 func holdoutBenchTable(b *testing.B) *dataset.Table {
 	b.Helper()

@@ -134,6 +134,11 @@ func NewSession(data *dataset.Table, opts Options) (*Session, error) {
 // Data returns the table the session explores.
 func (s *Session) Data() *dataset.Table { return s.data }
 
+// Selections returns the filter-bitmap cache the session resolves predicates
+// through (Options.Selections, or the session's own cache). It compiles
+// against Data() and is safe for concurrent use.
+func (s *Session) Selections() *dataset.SelectionCache { return s.sel }
+
 // Alpha returns the session's mFDR control level.
 func (s *Session) Alpha() float64 { return s.alpha }
 

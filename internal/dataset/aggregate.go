@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 
 	"aware/internal/stats"
 )
@@ -11,22 +10,6 @@ import (
 type GroupCount struct {
 	Value string
 	Count int
-}
-
-// GroupBy returns the per-value counts of a categorical (or bool) column,
-// sorted by value for determinism. It is the aggregation behind every bar
-// chart in Figure 1.
-func (t *Table) GroupBy(column string) ([]GroupCount, error) {
-	counts, err := t.ValueCounts(column)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GroupCount, 0, len(counts))
-	for v, c := range counts {
-		out = append(out, GroupCount{Value: v, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	return out, nil
 }
 
 // GroupMeans returns the mean of a numeric column within each category of a

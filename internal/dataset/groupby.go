@@ -12,10 +12,10 @@ import (
 // bool columns contribute their full dictionary (zero rows included, so the
 // matrix shape is a property of the table, not the selection); numeric
 // columns are cut into equal-width bins spanning the full table's range via
-// the memoized binAssignments, so a filtered cross-tab shares its axes with
-// the population it is compared against. The tally itself is one combined
-// code per row (rowCode*cols + colCode) reduced morsel-parallel in morsel
-// order — deterministic on any pool.
+// the memoized bin summaries (binSummary), so a filtered cross-tab shares its
+// axes with the population it is compared against. The tally itself is one
+// combined code per row (rowCode*cols + colCode) reduced morsel-parallel in
+// morsel order — deterministic on any pool.
 
 // maxCrossCells bounds the contingency matrix: two high-cardinality columns
 // crossed together would otherwise allocate per-morsel accumulators of
@@ -60,7 +60,7 @@ func (t *Table) crossAxis(name string, bins int) (axisCodes, error) {
 		if bins <= 0 {
 			return axisCodes{}, fmt.Errorf("dataset: numeric cross-tab attribute %q requires a positive bin count, got %d", name, bins)
 		}
-		ba, err := t.binAssignments(name, bins)
+		s, err := t.binSummary(name, bins)
 		if err != nil {
 			return axisCodes{}, err
 		}
@@ -68,14 +68,14 @@ func (t *Table) crossAxis(name string, bins int) (axisCodes, error) {
 		if err != nil {
 			return axisCodes{}, err
 		}
-		return axisCodes{labels: labels, at: func(row int) int { return int(ba.assign[row]) }}, nil
+		return axisCodes{labels: labels, at: func(row int) int { return int(s.assign[row]) }}, nil
 	default:
 		return axisCodes{}, fmt.Errorf("%w: %s is %s", ErrTypeMismatch, c.Name, c.Type)
 	}
 }
 
 // binEdgeLabels renders the equal-width bin edges of a numeric column as
-// "[lo, hi)" labels, matching the edges binAssignments assigns rows by.
+// "[lo, hi)" labels, matching the edges binSummary assigns rows by.
 func (t *Table) binEdgeLabels(column string, bins int) ([]string, error) {
 	all, err := t.Floats(column)
 	if err != nil {

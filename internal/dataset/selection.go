@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"aware/internal/stats"
 )
 
 // This file is the vectorized execution path of the substrate. Instead of
@@ -518,85 +516,50 @@ func (v View) Selection() *Selection { return v.sel }
 // NumRows returns the number of selected rows.
 func (v View) NumRows() int { return v.sel.Count() }
 
+// full reports whether the view selects every row of its table, so its
+// aggregations equal the table's memoized population summaries.
+func (v View) full() bool { return v.sel.count == v.table.rows }
+
 // CountsFor returns the counts of the column's values among the selected
-// rows, in the order given by categories — the vectorized equivalent of
-// materializing the sub-table and calling Table.CountsFor.
+// rows, in the order given by categories (values not present count as zero)
+// — the vectorized equivalent of materializing the sub-table and calling
+// Table.CountsFor. A view of every row reads the table's memoized population
+// summary in O(dictionary); any other view counts its selected rows.
 func (v View) CountsFor(name string, categories []string) ([]int, error) {
-	c, err := v.table.categoricalColumn(name)
+	c, counts, err := v.labelCounts(name)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(categories))
-	if c.Type == Bool {
-		tally := v.boolTally(c)
-		for i, cat := range categories {
-			switch cat {
-			case "true":
-				out[i] = tally[1]
-			case "false":
-				out[i] = tally[0]
-			}
-		}
-		return out, nil
-	}
-	byCode := v.codeCounts(c)
-	for i, cat := range categories {
-		if code, ok := c.codeOf[cat]; ok {
-			out[i] = byCode[code]
-		}
-	}
-	return out, nil
-}
-
-// codeCounts tallies the selected rows of a categorical column per dictionary
-// code — per-morsel partial histograms merged in morsel order.
-func (v View) codeCounts(c *Column) []int {
-	return reduceInts(v.table.execPool(), v.sel.n, len(c.dict), func(lo, hi int, acc []int) {
-		v.sel.forEachIn(lo, hi, func(row int) { acc[c.codes[row]]++ })
-	})
-}
-
-// boolTally counts the selected false (index 0) and true (index 1) rows of a
-// bool column.
-func (v View) boolTally(c *Column) []int {
-	return reduceInts(v.table.execPool(), v.sel.n, 2, func(lo, hi int, acc []int) {
-		v.sel.forEachIn(lo, hi, func(row int) {
-			if c.bools[row] {
-				acc[1]++
-			} else {
-				acc[0]++
-			}
-		})
-	})
+	return countsFor(c, counts, categories), nil
 }
 
 // GroupBy returns the per-value counts of a categorical (or bool) column
 // among the selected rows, sorted by value — the bars a filtered chart
 // renders, without materializing the sub-table.
 func (v View) GroupBy(name string) ([]GroupCount, error) {
-	c, err := v.table.categoricalColumn(name)
+	c, counts, err := v.labelCounts(name)
 	if err != nil {
 		return nil, err
 	}
-	var out []GroupCount
-	if c.Type == Bool {
-		tally := v.boolTally(c)
-		if tally[0] > 0 {
-			out = append(out, GroupCount{Value: "false", Count: tally[0]})
+	return groupsOf(c.labels(), counts), nil
+}
+
+// labelCounts counts the selected rows per label of a categorical or bool
+// column. A view of every row returns the table's shared summary, which the
+// caller must not modify.
+func (v View) labelCounts(name string) (*Column, []int, error) {
+	if v.full() {
+		c, s, err := v.table.labelSummary(name)
+		if err != nil {
+			return nil, nil, err
 		}
-		if tally[1] > 0 {
-			out = append(out, GroupCount{Value: "true", Count: tally[1]})
-		}
-		return out, nil
+		return c, s.counts, nil
 	}
-	byCode := v.codeCounts(c)
-	for code, n := range byCode {
-		if n > 0 {
-			out = append(out, GroupCount{Value: c.dict[code], Count: n})
-		}
+	c, err := v.table.categoricalColumn(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	// The dictionary is sorted, so the output already is.
-	return out, nil
+	return c, v.table.tally(c, v.sel), nil
 }
 
 // Floats returns the numeric values of the named column at the selected rows,
@@ -648,18 +611,21 @@ func (v View) Floats(name string) ([]float64, error) {
 // BinCounts returns the per-bin counts of a numeric column among the selected
 // rows, using equal-width bins whose edges span the FULL table's range — the
 // axes a filtered histogram shares with the population it is compared
-// against. The per-row bin assignment is computed once per (table, column,
-// bins) and memoized on the table, so every subsequent view pays only one
-// array lookup per selected row.
+// against. The per-row bin assignment and the population's per-bin counts
+// are computed once per (table, column, bins) and memoized on the table: a
+// view of every row copies the population counts, and any other view pays
+// one array lookup per selected row.
 func (v View) BinCounts(name string, bins int) ([]int, error) {
-	ba, err := v.table.binAssignments(name, bins)
+	s, err := v.table.binSummary(name, bins)
 	if err != nil {
 		return nil, err
 	}
-	counts := reduceInts(v.table.execPool(), v.sel.n, bins, func(lo, hi int, acc []int) {
-		v.sel.forEachIn(lo, hi, func(row int) { acc[ba.assign[row]]++ })
-	})
-	return counts, nil
+	if v.full() {
+		return append([]int(nil), s.counts...), nil
+	}
+	return reduceInts(v.table.execPool(), v.sel.n, bins, func(lo, hi int, acc []int) {
+		v.sel.forEachIn(lo, hi, func(row int) { acc[s.assign[row]]++ })
+	}), nil
 }
 
 // Materialize copies the selected rows into a standalone table. The
@@ -667,58 +633,6 @@ func (v View) BinCounts(name string, bins int) ([]int, error) {
 // *Table to legacy APIs.
 func (v View) Materialize() (*Table, error) {
 	return v.table.Select(v.sel.Indices())
-}
-
-// binAssignments computes (or returns the memoized) per-row bin index of a
-// numeric column cut into equal-width bins spanning the full table's range.
-// The arithmetic replicates the reference path — stats.NewHistogram edges,
-// then int((v-lo)/width) with clamping, with a degenerate-width fallback that
-// assigns every row to bin 0 — so vectorized bin counts are bit-for-bit
-// identical to binning a materialized sub-table.
-func (t *Table) binAssignments(column string, binCount int) (*binAssignment, error) {
-	key := binKey{column: column, bins: binCount}
-	t.binsMu.RLock()
-	ba := t.bins[key]
-	t.binsMu.RUnlock()
-	if ba != nil {
-		return ba, nil
-	}
-	all, err := t.Floats(column)
-	if err != nil {
-		return nil, err
-	}
-	hist, err := stats.NewHistogram(all, binCount)
-	if err != nil {
-		return nil, err
-	}
-	lo := hist.Edges[0]
-	hi := hist.Edges[len(hist.Edges)-1]
-	width := (hi - lo) / float64(binCount)
-	assign := make([]int32, len(all))
-	if width > 0 {
-		for i, v := range all {
-			idx := int((v - lo) / width)
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= binCount {
-				idx = binCount - 1
-			}
-			assign[i] = int32(idx)
-		}
-	}
-	ba = &binAssignment{assign: assign, bins: binCount}
-	t.binsMu.Lock()
-	if t.bins == nil {
-		t.bins = make(map[binKey]*binAssignment)
-	}
-	if prev, ok := t.bins[key]; ok {
-		ba = prev // a concurrent caller computed it first; keep one copy
-	} else {
-		t.bins[key] = ba
-	}
-	t.binsMu.Unlock()
-	return ba, nil
 }
 
 // --- the filter-bitmap cache ---

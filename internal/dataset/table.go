@@ -255,11 +255,12 @@ func (c *Column) gather(indices []int) *Column {
 
 // Table is an immutable-by-convention collection of equal-length columns.
 //
-// The binning cache is the one exception to "immutable": per-row bin
-// assignments for numeric columns are computed on first use and memoized
-// under binsMu, so repeated histogram requests (every rule-2 hypothesis over
-// a numeric target) skip the per-row arithmetic. The cache only ever grows
-// and its entries are immutable once stored, so concurrent readers are safe.
+// The population summaries are the one exception to "immutable": each
+// column's per-value (or, for numeric columns, per-bin) population counts are
+// computed on first use and memoized under summaryMu (summary.go), so every
+// rule-2 hypothesis reads its population side in O(dictionary) instead of
+// rescanning the table. The memo only ever grows and its entries are
+// immutable once stored, so concurrent readers are safe.
 type Table struct {
 	columns []*Column
 	byName  map[string]*Column
@@ -269,8 +270,8 @@ type Table struct {
 	// tables loaded from a snapshot it also owns the file mapping.
 	store *colstore.Store
 
-	binsMu sync.RWMutex
-	bins   map[binKey]*binAssignment
+	summaryMu sync.RWMutex
+	summaries map[summaryKey]*columnSummary
 
 	// pool is the execution pool the parallel kernels run on; nil means the
 	// process-wide DefaultPool. It is an atomic pointer so SetPool is safe
@@ -296,20 +297,6 @@ func (t *Table) execPool() *Pool {
 		return p
 	}
 	return DefaultPool()
-}
-
-// binKey identifies one memoized binning: a numeric column cut into a fixed
-// number of equal-width bins spanning the full table's range.
-type binKey struct {
-	column string
-	bins   int
-}
-
-// binAssignment is the memoized result: the bin index of every row, computed
-// once per (table, column, bin count).
-type binAssignment struct {
-	assign []int32
-	bins   int
 }
 
 // NewTable builds a table from columns, which must all have the same length
@@ -470,102 +457,6 @@ func (t *Table) Strings(name string) ([]string, error) {
 			return nil, err
 		}
 		out[i] = v
-	}
-	return out, nil
-}
-
-// Categories returns the sorted distinct values of a categorical or bool
-// column. Categorical columns answer from their dictionary (codes present in
-// the column, in dictionary order — the dictionary is sorted, so no extra
-// sort is needed); bool columns scan their payload only until both values
-// have been seen.
-func (t *Table) Categories(name string) ([]string, error) {
-	c, err := t.categoricalColumn(name)
-	if err != nil {
-		return nil, err
-	}
-	if c.Type == Bool {
-		var seen [2]bool
-		for _, b := range c.bools {
-			if b {
-				seen[1] = true
-			} else {
-				seen[0] = true
-			}
-			if seen[0] && seen[1] {
-				break
-			}
-		}
-		var cats []string
-		if seen[0] {
-			cats = append(cats, "false")
-		}
-		if seen[1] {
-			cats = append(cats, "true")
-		}
-		return cats, nil
-	}
-	present := make([]bool, len(c.dict))
-	for _, code := range c.codes {
-		present[code] = true
-	}
-	var cats []string
-	for code, ok := range present {
-		if ok {
-			cats = append(cats, c.dict[code])
-		}
-	}
-	return cats, nil
-}
-
-// ValueCounts returns the count of each distinct value of a categorical or
-// bool column, keyed by value. Categorical columns count codes (one array
-// index per row) and bool columns count their true rows, instead of hashing
-// strings.
-func (t *Table) ValueCounts(name string) (map[string]int, error) {
-	c, err := t.categoricalColumn(name)
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[string]int)
-	if c.Type == Bool {
-		trues := 0
-		for _, b := range c.bools {
-			if b {
-				trues++
-			}
-		}
-		if falses := len(c.bools) - trues; falses > 0 {
-			counts["false"] = falses
-		}
-		if trues > 0 {
-			counts["true"] = trues
-		}
-		return counts, nil
-	}
-	byCode := make([]int, len(c.dict))
-	for _, code := range c.codes {
-		byCode[code]++
-	}
-	for code, n := range byCode {
-		if n > 0 {
-			counts[c.dict[code]] = n
-		}
-	}
-	return counts, nil
-}
-
-// CountsFor returns the counts of the column's values in the order given by
-// categories (values not present count as zero). This is the canonical input
-// to the chi-squared tests used by AWARE's default hypotheses.
-func (t *Table) CountsFor(name string, categories []string) ([]int, error) {
-	counts, err := t.ValueCounts(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(categories))
-	for i, cat := range categories {
-		out[i] = counts[cat]
 	}
 	return out, nil
 }

@@ -507,13 +507,14 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = 1
 	}
-	// Copy the dataset and alpha under the lock, then validate outside it:
-	// tables are immutable, so the split and both tests never block the live
-	// session.
-	var data *dataset.Table
+	// Copy the session's selection cache and alpha under the lock, then
+	// validate outside it: tables and cached selections are immutable, so the
+	// split and both tests never block the live session, and a filter the
+	// session has already charted is served from its cache.
+	var sel *dataset.SelectionCache
 	alpha := req.Alpha
 	err = s.manager.With(id, func(sess *core.Session) error {
-		data = sess.Data()
+		sel = sess.Selections()
 		if alpha == 0 {
 			alpha = sess.Alpha()
 		}
@@ -523,7 +524,7 @@ func (s *Server) handleHoldoutValidate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	validator, err := core.NewHoldoutValidator(data, fraction, alpha, rand.New(rand.NewSource(seed)))
+	validator, err := core.NewHoldoutValidatorOn(sel, fraction, alpha, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		writeErr(w, err)
 		return
